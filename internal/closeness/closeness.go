@@ -23,8 +23,10 @@
 package closeness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,6 +85,7 @@ type Store struct {
 
 	flight   flight.Group[graph.NodeID, map[graph.NodeID]float64]
 	searches atomic.Int64 // searches actually executed (cold misses)
+	scratch  sync.Pool    // *searchScratch, one per concurrent search
 }
 
 // closeTable boxes the published packed.CloseTable for atomic swapping.
@@ -94,7 +97,12 @@ func New(tg *tatgraph.Graph, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{tg: tg, opts: opts, cache: make(map[graph.NodeID]map[graph.NodeID]float64)}, nil
+	s := &Store{tg: tg, opts: opts, cache: make(map[graph.NodeID]map[graph.NodeID]float64)}
+	n := tg.CSR().NumNodes()
+	s.scratch.New = func() any {
+		return &searchScratch{mark: make([]uint32, n), dist: make([]int32, n), acc: make([]float64, n)}
+	}
+	return s, nil
 }
 
 // From returns the closeness of every node reachable from v within
@@ -132,57 +140,89 @@ func (s *Store) From(v graph.NodeID) map[graph.NodeID]float64 {
 // cold misses, excluding cache hits and coalesced callers.
 func (s *Store) Searches() int64 { return s.searches.Load() }
 
-// search runs the layered shortest-path counting from v.
+// searchScratch is one worker's dense path-search state over a graph
+// of len(mark) nodes. Node u was reached by the current search iff
+// mark[u] == epoch, at depth dist[u]; acc[u] accumulates its
+// traversal probability while u is in the layer being built. Bumping
+// epoch resets every node at once.
+type searchScratch struct {
+	epoch    uint32
+	mark     []uint32
+	dist     []int32
+	acc      []float64
+	frontier []layerEntry
+	next     []layerEntry
+	reached  []layerEntry // every reached node with its closeness
+}
+
+type layerEntry struct {
+	node  graph.NodeID
+	count float64
+}
+
+// search runs the layered shortest-path counting from v. Each layer
+// accumulates into a node in frontier order and publishes in ascending
+// node order (or beam order), so results do not depend on scratch reuse.
 func (s *Store) search(v graph.NodeID) map[graph.NodeID]float64 {
 	s.searches.Add(1)
-	type layerEntry struct {
-		node  graph.NodeID
-		count float64
+	sc := s.scratch.Get().(*searchScratch)
+	defer s.scratch.Put(sc)
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale marks could alias the new epoch
+		clear(sc.mark)
+		sc.epoch = 1
 	}
-	dist := map[graph.NodeID]int{v: 0}
-	counts := map[graph.NodeID]float64{v: 1}
-	frontier := []layerEntry{{node: v, count: 1}}
-	out := make(map[graph.NodeID]float64)
+	epoch, mark, dist, acc := sc.epoch, sc.mark, sc.dist, sc.acc
+	mark[v], dist[v] = epoch, 0
+	frontier := append(sc.frontier[:0], layerEntry{node: v, count: 1})
+	next := sc.next[:0]
+	reached := sc.reached[:0]
 
 	csr := s.tg.CSR()
-	for depth := 1; depth <= s.opts.MaxLen && len(frontier) > 0; depth++ {
-		nextCounts := make(map[graph.NodeID]float64)
+	for depth := int32(1); int(depth) <= s.opts.MaxLen && len(frontier) > 0; depth++ {
+		next = next[:0]
 		for _, le := range frontier {
 			ws := csr.WeightSum(le.node)
 			if ws == 0 {
 				continue
 			}
 			scale := le.count / ws
-			csr.Neighbors(le.node, func(u graph.NodeID, w float64) bool {
-				if d, seen := dist[u]; seen && d < depth {
-					return true // already reached by a shorter path
+			nbrs, wts := csr.Adj(le.node)
+			for i, u := range nbrs {
+				if mark[u] != epoch {
+					mark[u], dist[u], acc[u] = epoch, depth, 0
+					next = append(next, layerEntry{node: u})
+				} else if dist[u] < depth {
+					continue // already reached by a shorter path
 				}
-				nextCounts[u] += scale * w
-				return true
-			})
+				acc[u] += scale * wts[i]
+			}
 		}
-		next := make([]layerEntry, 0, len(nextCounts))
-		for u, c := range nextCounts {
-			dist[u] = depth
-			counts[u] = c
+		for i, le := range next {
+			c := acc[le.node]
+			next[i].count = c
 			// Publish boundary: quantize so the float32 packed rows
 			// reproduce the cached values bit for bit (packed.Quantize).
-			out[u] = packed.Quantize(c / float64(depth))
-			next = append(next, layerEntry{node: u, count: c})
+			reached = append(reached, layerEntry{node: le.node, count: packed.Quantize(c / float64(depth))})
 		}
 		if s.opts.Beam > 0 && len(next) > s.opts.Beam {
-			sort.Slice(next, func(i, j int) bool {
-				if next[i].count != next[j].count {
-					return next[i].count > next[j].count
+			slices.SortFunc(next, func(a, b layerEntry) int {
+				if a.count != b.count {
+					return cmp.Compare(b.count, a.count)
 				}
-				return next[i].node < next[j].node
+				return cmp.Compare(a.node, b.node)
 			})
 			next = next[:s.opts.Beam]
 		} else {
-			sort.Slice(next, func(i, j int) bool { return next[i].node < next[j].node })
+			slices.SortFunc(next, func(a, b layerEntry) int { return cmp.Compare(a.node, b.node) })
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
+	out := make(map[graph.NodeID]float64, len(reached))
+	for _, le := range reached {
+		out[le.node] = le.count
+	}
+	sc.frontier, sc.next, sc.reached = frontier, next, reached
 	return out
 }
 

@@ -2,10 +2,14 @@ package closeness
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
+	"kqr/internal/dblpgen"
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 	"kqr/internal/relstore"
 	"kqr/internal/tatgraph"
 	"kqr/internal/testcorpus"
@@ -35,6 +39,90 @@ func term(t *testing.T, tg *tatgraph.Graph, field, text string) graph.NodeID {
 		t.Fatalf("missing term %s:%s", field, text)
 	}
 	return v
+}
+
+// mapSearch is the reference layered search the dense one must
+// reproduce bit for bit: per-call maps for distances and layer counts,
+// each layer accumulated in frontier order and published in ascending
+// node order (or beam order).
+func mapSearch(tg *tatgraph.Graph, opts Options, v graph.NodeID) map[graph.NodeID]float64 {
+	type layerEntry struct {
+		node  graph.NodeID
+		count float64
+	}
+	dist := map[graph.NodeID]int{v: 0}
+	frontier := []layerEntry{{node: v, count: 1}}
+	out := make(map[graph.NodeID]float64)
+
+	csr := tg.CSR()
+	for depth := 1; depth <= opts.MaxLen && len(frontier) > 0; depth++ {
+		nextCounts := make(map[graph.NodeID]float64)
+		for _, le := range frontier {
+			ws := csr.WeightSum(le.node)
+			if ws == 0 {
+				continue
+			}
+			scale := le.count / ws
+			csr.Neighbors(le.node, func(u graph.NodeID, w float64) bool {
+				if d, seen := dist[u]; seen && d < depth {
+					return true
+				}
+				nextCounts[u] += scale * w
+				return true
+			})
+		}
+		next := make([]layerEntry, 0, len(nextCounts))
+		for u, c := range nextCounts {
+			dist[u] = depth
+			out[u] = packed.Quantize(c / float64(depth))
+			next = append(next, layerEntry{node: u, count: c})
+		}
+		if opts.Beam > 0 && len(next) > opts.Beam {
+			sort.Slice(next, func(i, j int) bool {
+				if next[i].count != next[j].count {
+					return next[i].count > next[j].count
+				}
+				return next[i].node < next[j].node
+			})
+			next = next[:opts.Beam]
+		} else {
+			sort.Slice(next, func(i, j int) bool { return next[i].node < next[j].node })
+		}
+		frontier = next
+	}
+	return out
+}
+
+// The dense search equals the map-based oracle bit for bit for every
+// term of a dblpgen corpus, unpruned and beam-pruned, with one store
+// (and so one reused scratch) answering every source.
+func TestDenseSearchMatchesMapOracle(t *testing.T) {
+	c, err := dblpgen.Generate(dblpgen.Config{Seed: 3, Topics: 4, Confs: 8, Authors: 80, Papers: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := tatgraph.Build(c.DB, tatgraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {Beam: 8}, {Beam: 40, MaxLen: 5}} {
+		s, err := New(tg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("beam=%d maxlen=%d", s.opts.Beam, s.opts.MaxLen)
+		for _, v := range tg.TermNodeIDs() {
+			got, want := s.search(v), mapSearch(tg, s.opts, v)
+			if len(got) != len(want) {
+				t.Fatalf("%s: source %d reaches %d nodes, oracle %d", label, v, len(got), len(want))
+			}
+			for u, w := range want {
+				if g, ok := got[u]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: clos(%d,%d) = %v, oracle %v", label, v, u, g, w)
+				}
+			}
+		}
+	}
 }
 
 func TestOptionsValidation(t *testing.T) {

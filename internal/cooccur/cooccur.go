@@ -211,6 +211,14 @@ func (e *Extractor) Snapshot() map[graph.NodeID][]graph.Scored {
 	return out
 }
 
+// Cached returns how many start nodes have a cached list, without
+// copying them.
+func (e *Extractor) Cached() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.cache)
+}
+
 // Restore replaces the cache with previously snapshotted lists
 // (quantized onto the float32 publish grid) and repacks the flat table,
 // so restored state serves from the packed path immediately.

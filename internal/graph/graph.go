@@ -73,7 +73,10 @@ func (b *Builder) check(u NodeID) error {
 }
 
 // Build freezes the builder into a CSR graph. Parallel edges between the
-// same pair are merged, accumulating weight. The builder remains usable.
+// same pair are merged, accumulating weight in insertion order: AddEdge
+// appends to both endpoints' lists, so after a stable sort w(u→v) and
+// w(v→u) sum the same weights in the same order and are bit-identical
+// even for fractional weights. The builder remains usable.
 func (b *Builder) Build() *Graph {
 	n := len(b.adj)
 	g := &Graph{
@@ -87,7 +90,7 @@ func (b *Builder) Build() *Graph {
 		if len(list) == 0 {
 			continue
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i].To < list[j].To })
+		sort.SliceStable(list, func(i, j int) bool { return list[i].To < list[j].To })
 		out := list[:0:0]
 		for _, e := range list {
 			if len(out) > 0 && out[len(out)-1].To == e.To {
@@ -148,6 +151,14 @@ func (g *Graph) Neighbors(u NodeID, fn func(v NodeID, w float64) bool) {
 			return
 		}
 	}
+}
+
+// Adj returns u's neighbors in ascending order with the matching edge
+// weights — the allocation-free form of Neighbors for inner loops. The
+// slices are read-only views into the graph.
+func (g *Graph) Adj(u NodeID) ([]NodeID, []float64) {
+	lo, hi := g.offsets[u], g.offsets[u+1]
+	return g.neighbors[lo:hi:hi], g.weights[lo:hi:hi]
 }
 
 // EdgeWeight returns the weight of edge u-v, or 0 if absent. Lookup is

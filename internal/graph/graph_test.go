@@ -259,3 +259,42 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: merged parallel edges weigh the same in both directions,
+// bit for bit, even when fractional weights make the sum depend on
+// addition order. Hubs with long adjacency lists are where an unstable
+// sort would reorder the parallel copies differently per endpoint.
+func TestMergedEdgeWeightSymmetricProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 24
+		b := NewBuilder()
+		for i := 0; i < n; i++ {
+			b.AddNode()
+		}
+		for i := 0; i < 400; i++ {
+			u := NodeID(rng.Intn(4)) // a few hubs
+			v := NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			if err := b.AddEdge(u, v, 0.1+rng.Float64()*2.3); err != nil {
+				return false
+			}
+		}
+		g := b.Build()
+		for u := NodeID(0); int(u) < n; u++ {
+			nbrs, wts := g.Adj(u)
+			for i, v := range nbrs {
+				if math.Float64bits(wts[i]) != math.Float64bits(g.EdgeWeight(v, u)) {
+					t.Logf("seed %d: w(%d,%d)=%v but w(%d,%d)=%v", seed, u, v, wts[i], v, u, g.EdgeWeight(v, u))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -116,14 +116,16 @@ type Config struct {
 
 // SimTables is the similarity-provider surface a generation needs
 // beyond answering queries: persistence of the per-term cache (for
-// carry-over between generations and snapshots), the parallel offline
-// precompute, and Pack, which republishes the cache as an immutable
-// CSR table (internal/packed) serving the engine's zero-alloc decode
-// path. Both in-tree extractors satisfy it.
+// carry-over between generations and snapshots) and its size, the
+// parallel offline precompute, and Pack, which republishes the cache
+// as an immutable CSR table (internal/packed) serving the engine's
+// zero-alloc decode path. Both in-tree extractors satisfy it.
 type SimTables interface {
 	core.SimilarityProvider
 	Snapshot() map[graph.NodeID][]graph.Scored
 	Restore(map[graph.NodeID][]graph.Scored)
+	// Cached counts the cached rows without copying them.
+	Cached() int
 	Precompute(ctx context.Context, nodes []graph.NodeID) error
 	Pack()
 	// InstallPacked publishes an externally built packed table (a

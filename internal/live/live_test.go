@@ -344,6 +344,36 @@ func TestChurnThresholdForcesFullRebuild(t *testing.T) {
 	}
 }
 
+// A full promotion re-warms the whole vocabulary only when the old
+// generation had been warmed; a cold engine stays lazy.
+func TestFullPromotionWarmsOnlyWarmedEngines(t *testing.T) {
+	for _, warmed := range []bool{false, true} {
+		m := mustManager(t, Options{ChurnThreshold: 0.0000001})
+		if warmed {
+			if err := precompute(context.Background(), m.Current(), m.Current().TG.TermNodeIDs()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Ingest([]Delta{insertPaper(100, "quantum error correction", 2)}); err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.Promote(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Provenance.Mode != "full" {
+			t.Fatalf("warmed=%v: mode = %q, want full", warmed, g.Provenance.Mode)
+		}
+		want := 0
+		if warmed {
+			want = len(g.TG.TermNodeIDs())
+		}
+		if got := g.Sim.Cached(); got != want {
+			t.Errorf("warmed=%v: promoted generation caches %d rows, want %d", warmed, got, want)
+		}
+	}
+}
+
 func TestSwapAssignsReloadEpoch(t *testing.T) {
 	m := mustManager(t, Options{})
 	db, err := testcorpus.New()

@@ -248,7 +248,7 @@ func (m *Manager) build(ctx context.Context, old *Generation, deltas []Delta) (*
 		prov.Mode = "full"
 		// Re-warm the whole vocabulary only if the old generation had
 		// been warmed; a cold engine stays lazy and fills on demand.
-		if len(old.Sim.Snapshot()) == 0 {
+		if old.Sim.Cached() == 0 {
 			warm = nil
 		} else {
 			warm = next.TG.TermNodeIDs()

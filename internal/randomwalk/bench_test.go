@@ -109,3 +109,35 @@ func Benchmark_PrecomputeParallel(b *testing.B) {
 		})
 	}
 }
+
+// Benchmark_WalkKernel measures the pull kernel per term at one lane
+// (a cold SimilarNodes miss) and four lanes (a Precompute block) on the
+// experiment-scale graph; ns/term is the figure to compare.
+func Benchmark_WalkKernel(b *testing.B) {
+	tg := benchGraph(b)
+	g := tg.CSR()
+	terms := tg.TermNodeIDs()[:lanes]
+	rs := make([][]graph.Scored, len(terms))
+	for i, v := range terms {
+		var err error
+		if rs[i], err = restartVector(tg.ContextPreference(v), g.NumNodes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts, _ := Options{}.withDefaults()
+	for _, width := range []int{1, lanes} {
+		b.Run(fmt.Sprintf("lanes=%d", width), func(b *testing.B) {
+			s := new(scratch)
+			out := make([][]float64, width)
+			for l := range out {
+				out[l] = make([]float64, g.NumNodes())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.run(g, rs[:width], opts, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/term")
+		})
+	}
+}

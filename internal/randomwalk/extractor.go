@@ -3,6 +3,7 @@ package randomwalk
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,10 +108,11 @@ func (e *Extractor) SimilarNodes(t0 graph.NodeID, k int) ([]graph.Scored, error)
 			if ok {
 				return top, nil
 			}
-			top, ferr := e.extract(t0)
+			tops, ferr := e.walkBlock([]graph.NodeID{t0})
 			if ferr != nil {
 				return nil, ferr
 			}
+			top = tops[0]
 			e.mu.Lock()
 			e.cache[t0] = top
 			e.mu.Unlock()
@@ -126,19 +128,45 @@ func (e *Extractor) SimilarNodes(t0 graph.NodeID, k int) ([]graph.Scored, error)
 	return cached, nil
 }
 
-// extract runs the walk for t0 and ranks the result (uncached path).
-func (e *Extractor) extract(t0 graph.NodeID) ([]graph.Scored, error) {
-	e.walks.Add(1)
-	var pref map[graph.NodeID]float64
-	if e.mode == Contextual {
-		pref = e.tg.ContextPreference(t0)
-	} else {
-		pref = e.tg.SelfPreference(t0)
-	}
-	scores, _, err := Scores(e.tg.CSR(), pref, e.opts)
+// walkBlock runs the walks from up to lanes start nodes through one
+// kernel pass on pooled scratch and ranks each: one lane for a cold
+// SimilarNodes miss, up to four for a Precompute block.
+func (e *Extractor) walkBlock(block []graph.NodeID) ([][]graph.Scored, error) {
+	opts, err := e.opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	n := e.tg.CSR().NumNodes()
+	rs := make([][]graph.Scored, len(block))
+	for i, t0 := range block {
+		var pref map[graph.NodeID]float64
+		if e.mode == Contextual {
+			pref = e.tg.ContextPreference(t0)
+		} else {
+			pref = e.tg.SelfPreference(t0)
+		}
+		if rs[i], err = restartVector(pref, n); err != nil {
+			return nil, fmt.Errorf("randomwalk: walk from node %d: %w", t0, err)
+		}
+	}
+	e.walks.Add(int64(len(block)))
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	out := s.out[:len(block)]
+	for l := range out {
+		out[l] = resize(out[l], n)
+	}
+	s.run(e.tg.CSR(), rs, opts, out)
+	tops := make([][]graph.Scored, len(block))
+	for l, t0 := range block {
+		tops[l] = e.rank(t0, out[l])
+	}
+	return tops, nil
+}
+
+// rank turns t0's stationary scores into its cached similar-node list.
+// It overwrites scores.
+func (e *Extractor) rank(t0 graph.NodeID, scores []float64) []graph.Scored {
 	// Discount hub terms by idf before ranking: generic words
 	// ("efficient", "framework") accumulate walk mass from every
 	// direction without being substitutable for anything. The same
@@ -146,13 +174,14 @@ func (e *Extractor) extract(t0 graph.NodeID) ([]graph.Scored, error) {
 	// (Algorithm 1) debiases the result ranking; the raw
 	// co-occurrence baseline has no such correction, which is one of
 	// the contrasts Table II draws.
-	weighted := make([]float64, len(scores))
 	for i, s := range scores {
 		if s > 0 {
-			weighted[i] = s * e.tg.IDF(graph.NodeID(i))
+			scores[i] = s * e.tg.IDF(graph.NodeID(i))
+		} else {
+			scores[i] = 0
 		}
 	}
-	top := TopNodes(weighted, maxKept, func(v graph.NodeID) bool {
+	top := TopNodes(scores, maxKept, func(v graph.NodeID) bool {
 		return v != t0 && e.tg.SameClass(v, t0)
 	})
 	if len(top) > 0 && top[0].Score > 0 {
@@ -166,7 +195,7 @@ func (e *Extractor) extract(t0 graph.NodeID) ([]graph.Scored, error) {
 	for i := range top {
 		top[i].Score = packed.Quantize(top[i].Score)
 	}
-	return top, nil
+	return top
 }
 
 // Walks returns how many walks have actually executed — cold misses
@@ -193,19 +222,60 @@ func (e *Extractor) Sim(t0, t graph.NodeID) (float64, error) {
 }
 
 // Precompute runs extraction for every given start node, warming the
-// cache. It is the offline stage of the paper's pipeline. Nodes fan out
-// over a worker pool of Options.Workers goroutines (default
-// runtime.GOMAXPROCS(0)) — walks are independent per start node, so
-// throughput scales with cores. The first error stops the pool and is
-// returned wrapped with the offending node id; ctx cancellation stops
-// scheduling and returns the context's error.
+// cache. It is the offline stage of the paper's pipeline. Start nodes
+// with neither a cached nor a packed row are de-duplicated and walked
+// in blocks of four through one kernel pass each; blocks fan out over
+// a worker pool of Options.Workers goroutines (default
+// runtime.GOMAXPROCS(0)). The first error stops the pool and is
+// returned naming the offending node; ctx cancellation stops
+// scheduling and returns the context's error. A node walked here while
+// a concurrent SimilarNodes miss walks it too is walked twice; both
+// walks produce the same row.
 func (e *Extractor) Precompute(ctx context.Context, nodes []graph.NodeID) error {
-	return flight.ForEach(ctx, e.opts.Workers, len(nodes), func(i int) error {
-		if _, err := e.SimilarNodes(nodes[i], maxKept); err != nil {
-			return fmt.Errorf("randomwalk: precompute node %d: %w", nodes[i], err)
+	todo := e.missing(nodes)
+	blocks := (len(todo) + lanes - 1) / lanes
+	return flight.ForEach(ctx, e.opts.Workers, blocks, func(b int) error {
+		block := todo[b*lanes : min((b+1)*lanes, len(todo))]
+		tops, err := e.walkBlock(block)
+		if err != nil {
+			return err
 		}
+		e.mu.Lock()
+		for i, t0 := range block {
+			if _, ok := e.cache[t0]; !ok {
+				e.cache[t0] = tops[i]
+			}
+		}
+		e.mu.Unlock()
 		return nil
 	})
+}
+
+// missing returns the distinct nodes, in first-seen order, that have
+// neither a cached nor a packed row.
+func (e *Extractor) missing(nodes []graph.NodeID) []graph.NodeID {
+	seen := make(map[graph.NodeID]bool, len(nodes))
+	todo := make([]graph.NodeID, 0, len(nodes))
+	e.mu.Lock()
+	for _, v := range nodes {
+		if _, ok := e.cache[v]; !ok && !seen[v] {
+			seen[v] = true
+			todo = append(todo, v)
+		}
+	}
+	e.mu.Unlock()
+	return slices.DeleteFunc(todo, func(v graph.NodeID) bool {
+		_, _, ok := e.SimRow(v)
+		return ok
+	})
+}
+
+// Cached returns how many start nodes have a row in the map cache,
+// without copying it.
+func (e *Extractor) Cached() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.cache)
 }
 
 // Snapshot copies the cached similar-term lists, keyed by start node,

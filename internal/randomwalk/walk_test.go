@@ -2,14 +2,321 @@ package randomwalk
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"kqr/internal/catgen"
+	"kqr/internal/dblpgen"
 	"kqr/internal/graph"
+	"kqr/internal/relstore"
 	"kqr/internal/tatgraph"
 	"kqr/internal/testcorpus"
 )
+
+// scatterScores is the reference power iteration the kernel must
+// reproduce bit for bit: each sweep pushes λ·p[u]/WeightSum(u) along
+// u's edges in ascending u, then adds the restart mass. The preference
+// total is summed in ascending node order.
+func scatterScores(g *graph.Graph, pref map[graph.NodeID]float64, opts Options) ([]float64, int, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, 0, err
+	}
+	n := g.NumNodes()
+	r := make([]float64, n)
+	for v, w := range pref {
+		r[v] = w
+	}
+	total := 0.0
+	for _, w := range r {
+		total += w
+	}
+	for i := range r {
+		r[i] /= total
+	}
+
+	p := make([]float64, n)
+	copy(p, r)
+	next := make([]float64, n)
+	iters := 0
+	for ; iters < opts.MaxIter; iters++ {
+		dangling := 0.0
+		for i := range next {
+			next[i] = 0
+		}
+		for u := 0; u < n; u++ {
+			mass := p[u]
+			if mass == 0 {
+				continue
+			}
+			ws := g.WeightSum(graph.NodeID(u))
+			if ws == 0 {
+				dangling += mass
+				continue
+			}
+			scale := opts.Damping * mass / ws
+			g.Neighbors(graph.NodeID(u), func(v graph.NodeID, w float64) bool {
+				next[v] += scale * w
+				return true
+			})
+		}
+		restart := (1 - opts.Damping) + opts.Damping*dangling
+		diff := 0.0
+		for i := range next {
+			next[i] += restart * r[i]
+			diff += math.Abs(next[i] - p[i])
+		}
+		p, next = next, p
+		if diff < opts.Epsilon {
+			iters++
+			break
+		}
+	}
+	return p, iters, nil
+}
+
+func sameBits(a, b []float64) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func preference(tg *tatgraph.Graph, mode PreferenceMode, t0 graph.NodeID) map[graph.NodeID]float64 {
+	if mode == Contextual {
+		return tg.ContextPreference(t0)
+	}
+	return tg.SelfPreference(t0)
+}
+
+func oracleCorpora(t *testing.T) map[string]*tatgraph.Graph {
+	t.Helper()
+	dc, err := dblpgen.Generate(dblpgen.Config{Seed: 3, Topics: 4, Confs: 8, Authors: 60, Papers: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := catgen.Generate(catgen.Config{Seed: 3, Domains: 4, Brands: 8, Categories: 4, Products: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*tatgraph.Graph{}
+	for name, db := range map[string]*relstore.Database{"dblpgen": dc.DB, "catgen": cc.DB} {
+		tg, err := tatgraph.Build(db, tatgraph.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = tg
+	}
+	return out
+}
+
+// The kernel equals the scatter oracle bit for bit — every score and
+// every iteration count — for every term of a dblpgen and a catgen
+// corpus, in both preference modes, in four-lane blocks; and for the
+// contextual walk one lane at a time. Narrower blocks (1–3 live lanes)
+// also run over a prefix of the terms in every setting, including an
+// Epsilon large enough that lanes of one block converge at different
+// sweeps.
+func TestKernelMatchesScatterOracle(t *testing.T) {
+	staggered := false
+	for name, tg := range oracleCorpora(t) {
+		g := tg.CSR()
+		terms := tg.TermNodeIDs()
+		for _, c := range []struct {
+			mode PreferenceMode
+			opts Options
+		}{{Contextual, Options{}}, {Individual, Options{}}, {Contextual, Options{Epsilon: 1e-4}}} {
+			label := fmt.Sprintf("%s/%s/eps=%g", name, c.mode, c.opts.Epsilon)
+			wantScores := make([][]float64, len(terms))
+			wantIters := make([]int, len(terms))
+			rs := make([][]graph.Scored, len(terms))
+			for i, v := range terms {
+				pref := preference(tg, c.mode, v)
+				var err error
+				if wantScores[i], wantIters[i], err = scatterScores(g, pref, c.opts); err != nil {
+					t.Fatal(err)
+				}
+				if rs[i], err = restartVector(pref, g.NumNodes()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			o, _ := c.opts.withDefaults()
+			s := new(scratch)
+			for width := 1; width <= lanes; width++ {
+				span := len(terms)
+				if width < lanes && (width > 1 || c.mode != Contextual || c.opts.Epsilon != 0) {
+					span = min(span, 4*width)
+				}
+				for lo := 0; lo < span; lo += width {
+					hi := min(lo+width, span)
+					out := make([][]float64, hi-lo)
+					for l := range out {
+						out[l] = make([]float64, g.NumNodes())
+					}
+					iters := s.run(g, rs[lo:hi], o, out)
+					for l := range out {
+						i := lo + l
+						if at := sameBits(out[l], wantScores[i]); at >= 0 {
+							t.Fatalf("%s: term %d in a %d-lane block differs from the oracle at node %d: %v vs %v",
+								label, terms[i], hi-lo, at, out[l][at], wantScores[i][at])
+						}
+						if iters[l] != wantIters[i] {
+							t.Fatalf("%s: term %d ran %d sweeps, oracle %d", label, terms[i], iters[l], wantIters[i])
+						}
+						staggered = staggered || iters[l] != iters[0]
+					}
+				}
+			}
+		}
+	}
+	if !staggered {
+		t.Fatal("no block had lanes converging at different sweeps")
+	}
+}
+
+// A dangling (isolated) node carrying restart mass, walked in a block
+// beside connected starts, still matches the oracle.
+func TestKernelDanglingNodeMatchesOracle(t *testing.T) {
+	b := graph.NewBuilder()
+	for i := 0; i < 6; i++ {
+		b.AddNode()
+	}
+	for _, e := range [][3]float64{{1, 2, 0.7}, {2, 3, 1.3}, {3, 4, 0.2}, {4, 1, 2.1}, {1, 3, 0.9}} {
+		if err := b.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build() // nodes 0 and 5 are isolated
+	prefs := []map[graph.NodeID]float64{{0: 1}, {0: 0.3, 2: 0.7}, {5: 2, 4: 1}, {1: 1}}
+	o, _ := Options{}.withDefaults()
+	rs := make([][]graph.Scored, len(prefs))
+	out := make([][]float64, len(prefs))
+	for i, pref := range prefs {
+		var err error
+		if rs[i], err = restartVector(pref, g.NumNodes()); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = make([]float64, g.NumNodes())
+	}
+	iters := new(scratch).run(g, rs, o, out)
+	for i, pref := range prefs {
+		want, wantIters, err := scatterScores(g, pref, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := sameBits(out[i], want); at >= 0 || iters[i] != wantIters {
+			t.Fatalf("pref %v: kernel %v (%d sweeps), oracle %v (%d sweeps)", pref, out[i], iters[i], want, wantIters)
+		}
+	}
+}
+
+// Property: on random graphs whose hubs merge fractional parallel
+// edges — where the two directions of an edge would differ in the last
+// bit under an unstable merge — and that keep a few isolated nodes, a
+// full block of random restart vectors matches the oracle.
+func TestKernelMatchesOracleOnRandomGraphs(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 30
+		b := graph.NewBuilder()
+		for i := 0; i < n; i++ {
+			b.AddNode()
+		}
+		for i := 0; i < 300; i++ {
+			u, v := graph.NodeID(rng.Intn(3)), graph.NodeID(rng.Intn(n-3))
+			if u != v {
+				if err := b.AddEdge(u, v, 0.1+rng.Float64()); err != nil {
+					return false
+				}
+			}
+		}
+		g := b.Build() // nodes n-3..n-1 are isolated
+		o, _ := Options{}.withDefaults()
+		prefs := make([]map[graph.NodeID]float64, lanes)
+		rs := make([][]graph.Scored, lanes)
+		out := make([][]float64, lanes)
+		for l := range prefs {
+			prefs[l] = map[graph.NodeID]float64{}
+			for k := 0; k < 3; k++ {
+				prefs[l][graph.NodeID(rng.Intn(n))] = rng.Float64() + 0.01
+			}
+			rs[l], _ = restartVector(prefs[l], n)
+			out[l] = make([]float64, n)
+		}
+		iters := new(scratch).run(g, rs, o, out)
+		for l, pref := range prefs {
+			want, wantIters, err := scatterScores(g, pref, Options{})
+			if err != nil || sameBits(out[l], want) >= 0 || iters[l] != wantIters {
+				t.Logf("seed %d lane %d: kernel differs from the oracle", seed, l)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Precompute walks each distinct node once, however often it repeats
+// in the input, and caches the rows the oracle's scores rank to.
+func TestPrecomputeDuplicatesMatchOracle(t *testing.T) {
+	tg := fixtureGraph(t)
+	terms := tg.TermNodeIDs()
+	a, b, c := terms[0], terms[1], terms[2]
+	ex := NewExtractor(tg, Contextual, Options{})
+	if err := ex.Precompute(context.Background(), []graph.NodeID{a, a, b, a, c, b, c}); err != nil {
+		t.Fatal(err)
+	}
+	if ex.Walks() != 3 {
+		t.Fatalf("ran %d walks for 3 distinct nodes", ex.Walks())
+	}
+	if ex.Cached() != 3 {
+		t.Fatalf("cached %d rows for 3 distinct nodes", ex.Cached())
+	}
+	for _, v := range []graph.NodeID{a, b, c} {
+		scores, _, err := scatterScores(tg.CSR(), tg.ContextPreference(v), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ex.rank(v, scores)
+		got, err := ex.SimilarNodes(v, maxKept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d: precomputed row differs from the oracle's", v)
+		}
+	}
+}
+
+// Two runs of the same walk give the same bits for every term: the
+// restart normalization must not depend on map iteration order.
+func TestScoresDeterministic(t *testing.T) {
+	tg := oracleCorpora(t)["dblpgen"]
+	for _, v := range tg.TermNodeIDs() {
+		a, _, err := Scores(tg.CSR(), tg.ContextPreference(v), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := Scores(tg.CSR(), tg.ContextPreference(v), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := sameBits(a, b); at >= 0 {
+			t.Fatalf("term %d: two runs differ at node %d: %v vs %v", v, at, a[at], b[at])
+		}
+	}
+}
 
 // triangle + pendant: 0-1, 1-2, 2-0, 2-3.
 func smallGraph(t *testing.T) *graph.Graph {
