@@ -2,11 +2,11 @@ package kqr
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
-	"io"
-	"log"
 	"os"
-	"strings"
+	"path/filepath"
 
 	"kqr/internal/artifact"
 	"kqr/internal/live"
@@ -18,7 +18,7 @@ import (
 // replica is running in.
 type ArtifactInfo struct {
 	// Loaded is true when the offline tables were restored from a
-	// snapshot file at Open (or by a later LoadArtifacts call).
+	// snapshot file at Open (or by a later ReloadArtifacts call).
 	Loaded bool
 	// Path is the snapshot file the tables came from, when Loaded.
 	Path string
@@ -45,7 +45,7 @@ func (a ArtifactInfo) String() string {
 }
 
 // Artifact returns the provenance of the engine's offline tables. Safe
-// to call concurrently with LoadArtifacts/ReloadArtifacts.
+// to call concurrently with ReloadArtifacts.
 func (e *Engine) Artifact() ArtifactInfo {
 	e.artifactMu.Lock()
 	defer e.artifactMu.Unlock()
@@ -60,177 +60,123 @@ func (e *Engine) setArtifact(a ArtifactInfo) {
 	e.artifactMu.Unlock()
 }
 
-// artifactFingerprint identifies everything the offline tables depend
-// on: the corpus (table row counts), the built graph's shape and
-// classes, and every option that changes what the extractors compute.
-// Two engines share a fingerprint exactly when a snapshot saved by one
-// is valid for the other.
-func (e *Engine) artifactFingerprint(g *live.Generation) string {
-	damping := e.opts.Damping
-	if damping == 0 {
-		damping = 0.8
+// Warm runs the offline stage for the entire term vocabulary: term
+// similarity and closeness for every term node in the TAT graph, fanned
+// out over Options.PrecomputeWorkers goroutines. After Warm returns nil
+// every reformulation request is served from warmed caches — no query
+// ever pays first-touch walk latency. Cancel ctx to stop early; the
+// partial warm is kept and the context's error returned.
+func (e *Engine) Warm(ctx context.Context) error {
+	g := e.cur()
+	nodes := g.TG.TermNodeIDs()
+	if err := g.Sim.Precompute(ctx, nodes); err != nil {
+		return fmt.Errorf("kqr: warming similarity: %w", err)
 	}
-	closMax := e.opts.ClosenessMaxLen
-	if closMax == 0 {
-		closMax = 4
+	if err := g.Clos.Precompute(ctx, nodes); err != nil {
+		return fmt.Errorf("kqr: warming closeness: %w", err)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "kqr mode=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t",
-		e.opts.Similarity, damping, closMax, e.opts.ClosenessBeam, e.opts.Phrases, e.opts.FoldPlurals)
-	fmt.Fprintf(&b, " nodes=%d terms=%d edges=%d", g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
-	fmt.Fprintf(&b, " classes=%s", strings.Join(g.TG.Classes(), ","))
-	fmt.Fprintf(&b, " corpus=%s", g.TG.DB().Stats())
-	return b.String()
+	// Pack after the full warm so every query is served from the flat
+	// CSR tables rather than the map caches.
+	g.Sim.Pack()
+	g.Clos.Pack()
+	return nil
 }
 
-// buildSnapshot assembles the in-memory snapshot of one generation's
-// offline stage: the full vocabulary plus whichever similarity table
-// the engine's mode maintains, and the closeness table.
-func (e *Engine) buildSnapshot(g *live.Generation) (*artifact.Snapshot, error) {
-	return live.ArtifactSnapshot(g, e.artifactFingerprint(g))
-}
+// ErrDiskModeSave reports a SaveArtifactsPaged call on a disk-mode
+// engine. Disk mode serves the tables from the snapshot's pages and
+// leaves the in-RAM caches a save reads empty, so the file would look
+// valid while holding only the rows recomputed since Open. Save from an
+// engine opened without DiskMode instead. Match it with errors.Is.
+var ErrDiskModeSave = errors.New("kqr: a disk-mode engine cannot save its tables (they stay on disk, not in the caches a save reads)")
 
-// SaveArtifacts writes the engine's offline tables (similarity and
-// closeness, plus the vocabulary that validates them) as a versioned,
-// checksummed snapshot file. The write is atomic: a temp file in the
+// SaveArtifactsPaged writes the engine's offline tables (similarity and
+// closeness, plus the vocabulary that validates them) as a KQRART v2
+// snapshot: each table split into a resident page index and a
+// page-aligned entry blob. A later Open with Options.ArtifactPath
+// restores it instead of recomputing, and with Options.DiskMode serves
+// it without decoding the tables into RAM. Save after Warm to capture
+// the complete offline stage. The write is atomic: a temp file in the
 // same directory is renamed over path only after a successful write, so
-// a crash never leaves a half-written snapshot behind. Save after Warm
-// to capture the complete offline stage; a later Open with
-// Options.ArtifactPath then restores it instead of recomputing.
-func (e *Engine) SaveArtifacts(path string) error {
-	snap, err := e.buildSnapshot(e.cur())
-	if err != nil {
-		return err
-	}
-	return writeSnapshotFile(path, snap.Write)
-}
-
-// SaveArtifactsPaged writes the offline tables as a KQRART v2 paged
-// snapshot: the same vocabulary and tables as SaveArtifacts, but with
-// each table split into a resident page index and a page-aligned entry
-// blob, so a later Open with Options.DiskMode can serve it without
-// decoding the tables into RAM. A v2 file also loads through the plain
-// restore path (Options.ArtifactPath without DiskMode) — paged saving
-// costs nothing in compatibility. The write is temp-file atomic like
-// SaveArtifacts.
+// a crash never leaves a half-written snapshot behind. A disk-mode
+// engine returns ErrDiskModeSave.
 func (e *Engine) SaveArtifactsPaged(path string) error {
-	snap, err := e.buildSnapshot(e.cur())
+	if e.opts.DiskMode {
+		return ErrDiskModeSave
+	}
+	g := e.cur()
+	snap, err := live.ArtifactSnapshot(g, live.Fingerprint(g, e.cfg))
 	if err != nil {
 		return err
 	}
-	return writeSnapshotFile(path, func(w io.Writer) error {
-		return snap.WritePaged(w, artifact.PagedOptions{})
-	})
-}
-
-// writeSnapshotFile streams a snapshot encoding to path atomically: a
-// temp file in the same directory is renamed over path only after a
-// successful buffered write.
-func writeSnapshotFile(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".kqr-snapshot-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".kqr-snapshot-*")
 	if err != nil {
 		return fmt.Errorf("kqr: saving artifacts: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := write(bw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
+	err = snap.WritePaged(bw, artifact.PagedOptions{})
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("kqr: saving artifacts: %w", err)
+	if err != nil {
+		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
 	}
 	return nil
 }
 
-// dirOf returns the directory containing path, "." for a bare name.
-func dirOf(path string) string {
-	if i := strings.LastIndexByte(path, os.PathSeparator); i >= 0 {
-		return path[:i+1]
+// loadInto fills g from the snapshot at path. g must be a generation no
+// reader can see yet — Open's initial generation before the manager
+// publishes it, or the fresh one ReloadArtifacts builds — so no query
+// ever mixes pre- and post-load tables. In disk mode g's tables become
+// page-backed views of the file; otherwise the file is decoded into
+// g's caches. On error g's tables are left as built.
+func (e *Engine) loadInto(g *live.Generation, path string) (ArtifactInfo, error) {
+	info := ArtifactInfo{Loaded: true, Path: path, FormatVersion: artifact.FormatVersion, Disk: e.opts.DiskMode}
+	if e.opts.DiskMode {
+		if err := e.attachDiskTables(g, path); err != nil {
+			return ArtifactInfo{}, err
+		}
+		return info, nil
 	}
-	return "."
-}
-
-// loadSnapshotFile opens, validates and restores a snapshot file into
-// the given generation — the shared body of LoadArtifacts and
-// ReloadArtifacts.
-func (e *Engine) loadSnapshotFile(g *live.Generation, path string) (*artifact.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("kqr: loading artifacts: %w", err)
+		return ArtifactInfo{}, fmt.Errorf("kqr: loading artifacts: %w", err)
 	}
 	defer f.Close()
-	snap, err := artifact.Load(bufio.NewReaderSize(f, 1<<20), e.artifactFingerprint(g))
+	snap, err := artifact.Load(bufio.NewReaderSize(f, 1<<20), live.Fingerprint(g, e.cfg))
+	if err == nil {
+		err = live.RestoreArtifact(g, snap)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
+		return ArtifactInfo{}, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
 	}
-	if err := e.restoreSnapshot(g, snap); err != nil {
-		return nil, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
-	}
-	return snap, nil
-}
-
-// LoadArtifacts restores the offline tables from a snapshot file
-// previously written by SaveArtifacts into the current generation. The
-// snapshot must carry this engine's exact fingerprint (same corpus,
-// graph and offline options) and an intact vocabulary, or a wrapped
-// artifact sentinel error (artifact.ErrFingerprint,
-// artifact.ErrChecksum, …) is returned and the engine is left
-// untouched. On success the provenance reported by Artifact and
-// GraphStats updates exactly as if the snapshot had been loaded at Open
-// via Options.ArtifactPath (any earlier FallbackReason clears). Open
-// calls this automatically when Options.ArtifactPath is set, falling
-// back to live compute on any error.
-func (e *Engine) LoadArtifacts(path string) error {
-	if e.opts.DiskMode {
-		// A serving generation's fields are immutable; swapping its disk
-		// store in place would race readers mid-fault. The reload path
-		// builds a fresh generation, attaches the new store, and swaps —
-		// the old store drains and closes when the old generation
-		// retires.
-		return e.ReloadArtifacts(path)
-	}
-	snap, err := e.loadSnapshotFile(e.cur(), path)
-	if err != nil {
-		return err
-	}
-	e.setArtifact(ArtifactInfo{Loaded: true, Path: path, FormatVersion: snap.Version})
-	return nil
+	return info, nil
 }
 
 // ReloadArtifacts builds a fresh generation over the current corpus,
-// restores the snapshot into it, and atomically swaps it in as the next
-// epoch (mode "reload") — the SIGHUP path. Unlike LoadArtifacts it
-// never mutates the serving generation, so queries racing the reload
-// see either the old tables or the new ones, wholesale.
+// fills it from the snapshot at path, and atomically swaps it in as the
+// next epoch (mode "reload") — the SIGHUP path. The snapshot must carry
+// this engine's exact fingerprint (same corpus, graph and offline
+// options) and an intact vocabulary, or a wrapped artifact sentinel
+// error (artifact.ErrFingerprint, artifact.ErrChecksum, …) is returned
+// and the serving generation is left untouched. Queries racing the
+// reload see either the old tables or the new ones, wholesale. On
+// success Artifact reports the new provenance (any earlier
+// FallbackReason clears).
 func (e *Engine) ReloadArtifacts(path string) error {
-	cfg, err := e.liveConfig()
-	if err != nil {
-		return err
-	}
-	g, err := live.Build(e.cur().DB, cfg)
+	g, err := live.Build(e.cur().DB, e.cfg)
 	if err != nil {
 		return fmt.Errorf("kqr: reloading artifacts: %w", err)
 	}
-	info := ArtifactInfo{Loaded: true, Path: path}
-	if e.opts.DiskMode {
-		if err := e.attachDiskTables(g, path); err != nil {
-			return err
-		}
-		info.FormatVersion, info.Disk = artifact.FormatVersionPaged, true
-	} else {
-		snap, err := e.loadSnapshotFile(g, path)
-		if err != nil {
-			return err
-		}
-		info.FormatVersion = snap.Version
+	info, err := e.loadInto(g, path)
+	if err != nil {
+		return err
 	}
 	if _, err := e.mgr.Swap(g); err != nil {
 		if g.Pager != nil {
@@ -240,23 +186,4 @@ func (e *Engine) ReloadArtifacts(path string) error {
 	}
 	e.setArtifact(info)
 	return nil
-}
-
-// restoreSnapshot validates the snapshot's vocabulary against the
-// generation's graph node by node, then installs the tables into the
-// extractors. The vocabulary check backstops the fingerprint: node ids
-// are only meaningful if every term node still carries the same text
-// and class.
-func (e *Engine) restoreSnapshot(g *live.Generation, snap *artifact.Snapshot) error {
-	return live.RestoreArtifact(g, snap)
-}
-
-// loadArtifactsOrFallback is Open's never-fatal load path: any failure
-// is logged and recorded in ArtifactInfo, and the engine serves with
-// live computation instead.
-func (e *Engine) loadArtifactsOrFallback(path string) {
-	if err := e.LoadArtifacts(path); err != nil {
-		log.Printf("kqr: snapshot %s not used (%v); falling back to live compute", path, err)
-		e.setArtifact(ArtifactInfo{FallbackReason: err.Error()})
-	}
 }

@@ -2,7 +2,9 @@ package kqr_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,14 +27,13 @@ func warmAndSave(t *testing.T, mode kqr.SimilarityMode) (*kqr.Engine, string) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "offline.snapshot")
-	if err := eng.SaveArtifacts(path); err != nil {
+	if err := eng.SaveArtifactsPaged(path); err != nil {
 		t.Fatal(err)
 	}
 	return eng, path
 }
 
-// TestArtifactRoundTrip is the PR's acceptance property: Warm →
-// SaveArtifacts → fresh Open with ArtifactPath yields byte-identical
+// TestArtifactRoundTrip: Warm → SaveArtifactsPaged → fresh Open with ArtifactPath yields byte-identical
 // SimilarTerms and CloseTerms results for every vocabulary term, in
 // both similarity modes that support persistence.
 func TestArtifactRoundTrip(t *testing.T) {
@@ -42,10 +43,10 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info := cold.Artifact(); !info.Loaded || info.FormatVersion != 1 || info.Path != path {
+		if info := cold.Artifact(); !info.Loaded || info.FormatVersion != 2 || info.Path != path {
 			t.Fatalf("mode %v: snapshot not loaded: %+v", mode, info)
 		}
-		if s := cold.GraphStats(); !strings.Contains(s, "offline: snapshot v1") {
+		if s := cold.GraphStats(); !strings.Contains(s, "offline: snapshot v2") {
 			t.Fatalf("mode %v: GraphStats lacks snapshot provenance: %q", mode, s)
 		}
 		if s := warm.GraphStats(); !strings.Contains(s, "offline: computed") {
@@ -107,7 +108,8 @@ func corrupt(t *testing.T, path string, mutate func([]byte) []byte) string {
 }
 
 // TestArtifactCorruptionTyped checks each corruption class surfaces as
-// its sentinel error from LoadArtifacts.
+// its sentinel error from ReloadArtifacts, and leaves the serving
+// generation in place.
 func TestArtifactCorruptionTyped(t *testing.T) {
 	_, path := warmAndSave(t, kqr.ContextualWalk)
 	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
@@ -126,9 +128,12 @@ func TestArtifactCorruptionTyped(t *testing.T) {
 	}
 	for _, tc := range cases {
 		bad := corrupt(t, path, tc.mutate)
-		if err := eng.LoadArtifacts(bad); !errors.Is(err, tc.want) {
+		if err := eng.ReloadArtifacts(bad); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
+	}
+	if got := eng.Epoch(); got != 1 {
+		t.Fatalf("failed reloads moved the epoch to %d", got)
 	}
 }
 
@@ -142,7 +147,7 @@ func TestArtifactFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.LoadArtifacts(path); !errors.Is(err, artifact.ErrFingerprint) {
+	if err := eng.ReloadArtifacts(path); !errors.Is(err, artifact.ErrFingerprint) {
 		t.Fatalf("mode mismatch: err = %v, want ErrFingerprint", err)
 	}
 
@@ -151,7 +156,7 @@ func TestArtifactFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.LoadArtifacts(path); !errors.Is(err, artifact.ErrFingerprint) {
+	if err := eng.ReloadArtifacts(path); !errors.Is(err, artifact.ErrFingerprint) {
 		t.Fatalf("option mismatch: err = %v, want ErrFingerprint", err)
 	}
 
@@ -169,9 +174,26 @@ func TestArtifactFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.LoadArtifacts(path); !errors.Is(err, artifact.ErrFingerprint) {
+	if err := eng.ReloadArtifacts(path); !errors.Is(err, artifact.ErrFingerprint) {
 		t.Fatalf("corpus mismatch: err = %v, want ErrFingerprint", err)
 	}
+}
+
+// v1File writes the header of a KQRART v1 snapshot (magic, version 1,
+// fingerprint, header CRC) — the retired format, rejected by version
+// before any table is read — and returns its path.
+func v1File(t *testing.T) string {
+	t.Helper()
+	fp := "kqr mode=contextual-walk"
+	b := append([]byte("KQRART"), 1, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(fp)))
+	b = append(b, fp...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	path := filepath.Join(t.TempDir(), "v1.snapshot")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestArtifactOpenFallback: Open with a bad ArtifactPath must never
@@ -186,6 +208,7 @@ func TestArtifactOpenFallback(t *testing.T) {
 		{"truncated", corrupt(t, path, func(b []byte) []byte { return b[:len(b)/2] })},
 		{"flipped byte", corrupt(t, path, func(b []byte) []byte { b[len(b)-3] ^= 0x80; return b })},
 		{"wrong version", corrupt(t, path, func(b []byte) []byte { b[7] = 0x7F; return b })},
+		{"v1 file", v1File(t)},
 	}
 	for _, tc := range bad {
 		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: tc.path})
@@ -195,6 +218,9 @@ func TestArtifactOpenFallback(t *testing.T) {
 		info := eng.Artifact()
 		if info.Loaded || info.FallbackReason == "" {
 			t.Fatalf("%s: provenance does not record the fallback: %+v", tc.name, info)
+		}
+		if tc.name == "v1 file" && !strings.Contains(info.FallbackReason, "v1") {
+			t.Fatalf("v1 file: fallback reason %q does not name the version", info.FallbackReason)
 		}
 		if s := eng.GraphStats(); !strings.Contains(s, "offline: computed") {
 			t.Fatalf("%s: GraphStats = %q, want computed provenance", tc.name, s)
@@ -214,7 +240,7 @@ func TestSaveArtifactsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SaveArtifacts(path); err != nil {
+	if err := eng.SaveArtifactsPaged(path); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(path)
@@ -224,7 +250,7 @@ func TestSaveArtifactsAtomic(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("re-saving the same engine produced different bytes")
 	}
-	if err := eng.SaveArtifacts(filepath.Join(t.TempDir(), "no", "such", "dir", "x.snapshot")); err == nil {
+	if err := eng.SaveArtifactsPaged(filepath.Join(t.TempDir(), "no", "such", "dir", "x.snapshot")); err == nil {
 		t.Fatal("save into a missing directory succeeded")
 	}
 }

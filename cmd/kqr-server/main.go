@@ -6,36 +6,32 @@
 //	curl 'localhost:8080/api/facets?q=probabilistic'
 //	curl 'localhost:8080/api/metrics'
 //
-// With -relations the offline stage for the topic vocabulary is
-// precomputed at startup (and cached to the given file across restarts),
-// trading startup time for uniformly warm query latency. With -warm the
-// offline stage runs for the *entire* term vocabulary before the
-// listener opens — similarity and closeness for every term node, fanned
-// out over -precompute-workers goroutines (default GOMAXPROCS) — so no
-// request ever pays first-touch walk latency.
+// With -warm the offline stage runs for the *entire* term vocabulary
+// before the listener opens — similarity and closeness for every term
+// node, fanned out over -precompute-workers goroutines (default
+// GOMAXPROCS) — so no request ever pays first-touch walk latency.
 //
-// The offline stage can be persisted as a versioned snapshot for
+// The offline stage can be persisted as a KQRART v2 snapshot for
 // instant cold starts: -snapshot-save writes the warmed tables after
 // -warm completes (implying -warm if absent), and -snapshot-load
 // restores them at startup instead of recomputing, falling back to
 // live compute — logged, never fatal — when the file is missing, from
-// a different corpus, or corrupt. Point both flags at the same path to
-// get warm-once-then-load-forever restarts:
+// a different corpus, corrupt, or an old v1 file (re-save it with
+// -snapshot-save to convert). Point both flags at the same path to get
+// warm-once-then-load-forever restarts:
 //
 //	kqr-server -warm -snapshot-save offline.snapshot   # first deploy
 //	kqr-server -snapshot-load offline.snapshot         # every restart
 //
-// For corpora whose offline tables exceed RAM, -disk-mode serves them
-// page-by-page straight from a paged (v2) snapshot instead of decoding
-// them: save one with -snapshot-save-paged, then point -snapshot-load
-// at it with -disk-mode on. Only the page index stays resident; rows
-// fault on demand through a page cache bounded by -table-mem-budget
-// MiB, and /api/metrics gains a "disk" block with hit/miss/eviction
-// counters and resident bytes. -disk-mode refuses -warm and the save
-// flags — both would pull whole tables back into RAM:
+// For corpora whose offline tables exceed RAM, -disk-mode serves the
+// same snapshot page-by-page instead of decoding it. Only the page
+// index stays resident; rows fault on demand through a page cache
+// bounded by -table-mem-budget MiB, and /api/metrics gains a "disk"
+// block with hit/miss/eviction counters and resident bytes. -disk-mode
+// refuses -warm, which would pull whole tables back into RAM, and a
+// disk-mode engine cannot save (kqr.ErrDiskModeSave):
 //
-//	kqr-server -snapshot-save-paged offline.paged          # first deploy
-//	kqr-server -snapshot-load offline.paged -disk-mode \
+//	kqr-server -snapshot-load offline.snapshot -disk-mode \
 //	           -table-mem-budget 128                       # bounded restart
 //
 // The serving layer defaults to production posture: a 64 MB response
@@ -116,11 +112,9 @@ type config struct {
 	addr        string
 	seed        int64
 	papers      int
-	relations   string
 	warm        bool
 	warmWorkers int
 	snapSave    string
-	snapSavePgd string
 	snapLoad    string
 	diskMode    bool
 	tableMemMB  int64
@@ -144,13 +138,11 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.Int64Var(&cfg.seed, "seed", 20120401, "corpus seed")
 	flag.IntVar(&cfg.papers, "papers", 3000, "corpus size in papers")
-	flag.StringVar(&cfg.relations, "relations", "", "path for cached precomputed relations (optional)")
 	flag.BoolVar(&cfg.warm, "warm", false, "precompute similarity+closeness for the whole vocabulary before serving")
 	flag.IntVar(&cfg.warmWorkers, "precompute-workers", 0, "offline precompute worker pool size (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.snapSave, "snapshot-save", "", "write the offline tables as a snapshot here after warming (implies -warm)")
-	flag.StringVar(&cfg.snapSavePgd, "snapshot-save-paged", "", "write the offline tables as a paged (v2) snapshot here after warming, for -disk-mode serving (implies -warm)")
 	flag.StringVar(&cfg.snapLoad, "snapshot-load", "", "restore the offline tables from this snapshot at startup (falls back to live compute)")
-	flag.BoolVar(&cfg.diskMode, "disk-mode", false, "serve the offline tables page-by-page from the -snapshot-load file (must be paged/v2) instead of decoding them into RAM")
+	flag.BoolVar(&cfg.diskMode, "disk-mode", false, "serve the offline tables page-by-page from the -snapshot-load file instead of decoding them into RAM")
 	flag.Int64Var(&cfg.tableMemMB, "table-mem-budget", 64, "resident table byte budget in MiB for -disk-mode (page index + decoded-page cache)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "response cache size in MiB (0 disables caching and coalescing)")
 	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 5*time.Minute, "response cache entry TTL (0 = no expiry)")
@@ -184,13 +176,10 @@ func run(cfg config) error {
 	}
 	if cfg.diskMode {
 		if cfg.snapLoad == "" {
-			return fmt.Errorf("-disk-mode needs -snapshot-load naming a paged snapshot (save one with -snapshot-save-paged)")
+			return fmt.Errorf("-disk-mode needs -snapshot-load naming a snapshot (save one with -snapshot-save)")
 		}
 		if cfg.warm {
 			return fmt.Errorf("-disk-mode conflicts with -warm: warming decodes every table row into RAM, which is exactly what disk mode bounds")
-		}
-		if cfg.snapSave != "" || cfg.snapSavePgd != "" {
-			return fmt.Errorf("-disk-mode cannot save snapshots: the map caches a save reads stay empty when tables are served from disk")
 		}
 	}
 	eng, err := kqr.Open(corpus.Dataset, kqr.Options{
@@ -229,14 +218,9 @@ func run(cfg config) error {
 		fmt.Printf("snapshot %s not used (%s); computing live\n", cfg.snapLoad, eng.Artifact().FallbackReason)
 	}
 
-	if cfg.relations != "" {
-		if err := loadOrPrecompute(eng, corpus, cfg.relations); err != nil {
-			return err
-		}
-	}
 	// -snapshot-save without a restored snapshot needs warm tables to be
 	// worth saving, so it implies -warm.
-	warm := cfg.warm || ((cfg.snapSave != "" || cfg.snapSavePgd != "") && !loaded)
+	warm := cfg.warm || (cfg.snapSave != "" && !loaded)
 	if warm {
 		workers := cfg.warmWorkers
 		if workers <= 0 {
@@ -249,24 +233,14 @@ func run(cfg config) error {
 		}
 		fmt.Printf("offline caches hot in %v\n", time.Since(start).Round(time.Millisecond))
 	}
-	for _, save := range []struct {
-		path  string
-		write func(string) error
-		label string
-	}{
-		{cfg.snapSave, eng.SaveArtifacts, "snapshot"},
-		{cfg.snapSavePgd, eng.SaveArtifactsPaged, "paged snapshot"},
-	} {
-		if save.path == "" {
-			continue
-		}
+	if cfg.snapSave != "" {
 		start := time.Now()
-		if err := save.write(save.path); err != nil {
+		if err := eng.SaveArtifactsPaged(cfg.snapSave); err != nil {
 			return err
 		}
-		if st, err := os.Stat(save.path); err == nil {
-			fmt.Printf("%s saved to %s (%d bytes) in %v\n",
-				save.label, save.path, st.Size(), time.Since(start).Round(time.Millisecond))
+		if st, err := os.Stat(cfg.snapSave); err == nil {
+			fmt.Printf("snapshot saved to %s (%d bytes) in %v\n",
+				cfg.snapSave, st.Size(), time.Since(start).Round(time.Millisecond))
 		}
 	}
 
@@ -420,35 +394,4 @@ func runFollower(cfg config) error {
 		return fmt.Errorf("replication: %w", err)
 	}
 	return serveErr
-}
-
-// loadOrPrecompute restores cached relations when present, otherwise
-// precomputes the topic vocabulary and writes the cache.
-func loadOrPrecompute(eng *kqr.Engine, corpus *synthetic.Corpus, path string) error {
-	if f, err := os.Open(path); err == nil {
-		defer f.Close()
-		if err := eng.LoadRelations(f); err != nil {
-			return fmt.Errorf("loading %s: %w", path, err)
-		}
-		fmt.Println("restored precomputed relations from", path)
-		return nil
-	}
-	fmt.Println("precomputing term relations (first start)...")
-	var vocab []string
-	for t := 0; t < len(corpus.Topics()); t++ {
-		vocab = append(vocab, corpus.TopicTerms(t)...)
-	}
-	if err := eng.PrecomputeTerms(vocab); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := eng.SaveRelations(f); err != nil {
-		return err
-	}
-	fmt.Println("saved precomputed relations to", path)
-	return nil
 }

@@ -29,8 +29,8 @@ func (e *Engine) simTableKind() artifact.TableKind {
 // closeness store each get a packed view that faults rows from disk
 // through the store's budgeted page cache, and g.Pager takes ownership
 // of the store so retiring the generation closes it. The snapshot must
-// be v2 (SaveArtifactsPaged), carry this engine's fingerprint and
-// vocabulary, and contain both tables the mode needs.
+// carry this engine's fingerprint and vocabulary and contain both
+// tables the mode needs.
 func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 	// The mend index is resident by construction (lookups must not
 	// fault pages), so it spends from the same table-memory budget the
@@ -48,7 +48,7 @@ func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 				g.Mender.Bytes(), e.opts.TableMemBudget)
 		}
 	}
-	store, err := diskmode.Open(path, e.artifactFingerprint(g), diskmode.Options{
+	store, err := diskmode.Open(path, live.Fingerprint(g, e.cfg), diskmode.Options{
 		Budget: budget,
 	})
 	if err != nil {

@@ -1,31 +1,15 @@
 package kqr_test
 
 import (
-	"context"
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"kqr"
+	"kqr/internal/artifact"
 )
-
-// warmAndSavePaged warms an engine over the bibliography corpus and
-// saves a v2 paged snapshot.
-func warmAndSavePaged(t *testing.T, mode kqr.SimilarityMode) (*kqr.Engine, string) {
-	t.Helper()
-	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode, PrecomputeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "offline.paged")
-	if err := eng.SaveArtifactsPaged(path); err != nil {
-		t.Fatal(err)
-	}
-	return eng, path
-}
 
 // TestDiskModeRoundTrip is the disk-mode acceptance property: Warm →
 // SaveArtifactsPaged → fresh Open with DiskMode yields bit-identical
@@ -33,7 +17,7 @@ func warmAndSavePaged(t *testing.T, mode kqr.SimilarityMode) (*kqr.Engine, strin
 // table payloads stay on disk behind a byte budget.
 func TestDiskModeRoundTrip(t *testing.T) {
 	for _, mode := range []kqr.SimilarityMode{kqr.ContextualWalk, kqr.Cooccurrence} {
-		warm, path := warmAndSavePaged(t, mode)
+		warm, path := warmAndSave(t, mode)
 		disk, err := kqr.Open(bibliographyDataset(t), kqr.Options{
 			Similarity:   mode,
 			ArtifactPath: path,
@@ -95,7 +79,7 @@ func TestDiskModeRoundTrip(t *testing.T) {
 // TestDiskModeReformulate: end-to-end suggestions must match between a
 // warmed in-RAM engine and a disk-mode engine over the same snapshot.
 func TestDiskModeReformulate(t *testing.T) {
-	warm, path := warmAndSavePaged(t, kqr.ContextualWalk)
+	warm, path := warmAndSave(t, kqr.ContextualWalk)
 	disk, err := kqr.Open(bibliographyDataset(t), kqr.Options{
 		ArtifactPath: path,
 		DiskMode:     true,
@@ -129,13 +113,13 @@ func TestDiskModeErrors(t *testing.T) {
 	if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{DiskMode: true}); err == nil {
 		t.Fatal("disk mode without ArtifactPath accepted")
 	}
-	// A v1 snapshot has no page index.
-	_, v1path := warmAndSave(t, kqr.ContextualWalk)
-	if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: v1path, DiskMode: true}); err == nil {
-		t.Fatal("disk mode over a v1 snapshot accepted")
+	// A v1 snapshot is refused by version, and disk mode never falls
+	// back.
+	if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: v1File(t), DiskMode: true}); !errors.Is(err, artifact.ErrVersion) {
+		t.Fatalf("disk mode over a v1 snapshot: err = %v, want ErrVersion", err)
 	}
 	// A budget smaller than the resident index must be rejected.
-	_, paged := warmAndSavePaged(t, kqr.ContextualWalk)
+	_, paged := warmAndSave(t, kqr.ContextualWalk)
 	if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{
 		ArtifactPath: paged, DiskMode: true, TableMemBudget: 64,
 	}); err == nil {
@@ -147,7 +131,7 @@ func TestDiskModeErrors(t *testing.T) {
 // generation with a fresh store and retire (and close) the old one;
 // queries keep answering bit-identically throughout.
 func TestDiskModeReload(t *testing.T) {
-	warm, path := warmAndSavePaged(t, kqr.ContextualWalk)
+	warm, path := warmAndSave(t, kqr.ContextualWalk)
 	retired := make(chan uint64, 4)
 	disk, err := kqr.Open(bibliographyDataset(t), kqr.Options{
 		ArtifactPath: path,
@@ -188,11 +172,28 @@ func TestDiskModeReload(t *testing.T) {
 	if stats, ok := disk.DiskTables(); !ok || stats.Tables == 0 {
 		t.Fatalf("reloaded generation has no disk store: %+v", stats)
 	}
-	// LoadArtifacts in disk mode routes through the reload path.
-	if err := disk.LoadArtifacts(path); err != nil {
+	if epoch := disk.Epoch(); epoch != 2 {
+		t.Fatalf("epoch = %d, want 2 after one reload", epoch)
+	}
+}
+
+// TestDiskModeSaveRefused: a disk-mode engine's caches hold none of the
+// paged tables, so saving from it must fail typed instead of writing a
+// valid-looking file with only the rows recomputed since Open.
+func TestDiskModeSaveRefused(t *testing.T) {
+	_, path := warmAndSave(t, kqr.ContextualWalk)
+	disk, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: path, DiskMode: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch := disk.Epoch(); epoch != 3 {
-		t.Fatalf("epoch = %d, want 3 after two reloads", epoch)
+	if _, err := disk.SimilarTerms("probabilistic", 5); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "hollow.snapshot")
+	if err := disk.SaveArtifactsPaged(out); !errors.Is(err, kqr.ErrDiskModeSave) {
+		t.Fatalf("err = %v, want ErrDiskModeSave", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("refused save left a file behind: %v", err)
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"strings"
 	"sync"
 	"time"
 	"unicode"
 
-	"kqr/internal/artifact"
 	"kqr/internal/core"
 	"kqr/internal/graph"
 	"kqr/internal/live"
@@ -99,27 +99,29 @@ type Options struct {
 	// unaffected. Queries made entirely of vocabulary terms always
 	// pass through byte-identically.
 	Mend bool
-	// PrecomputeWorkers bounds the goroutines the offline stage
-	// (Warm, PrecomputeTerms) fans out over; <= 0 means
-	// runtime.GOMAXPROCS(0). Per-term extraction is independent, so
-	// precompute throughput scales with cores.
+	// PrecomputeWorkers bounds the goroutines the offline stage (Warm)
+	// fans out over; <= 0 means runtime.GOMAXPROCS(0). Per-term
+	// extraction is independent, so precompute throughput scales with
+	// cores.
 	PrecomputeWorkers int
 	// ArtifactPath, when non-empty, names a snapshot file previously
-	// written by Engine.SaveArtifacts. Open tries to restore the
+	// written by Engine.SaveArtifactsPaged. Open tries to restore the
 	// offline tables (similarity and closeness) from it instead of
 	// computing them; any failure — missing file, corruption, version
 	// or corpus mismatch — is logged and recorded in Engine.Artifact,
-	// and the engine falls back to live computation. Never fatal.
+	// and the engine falls back to live computation. Never fatal
+	// unless DiskMode is set.
 	ArtifactPath string
-	// DiskMode serves the offline tables directly from a paged (v2)
-	// snapshot at ArtifactPath instead of decoding them into RAM: the
-	// table payloads stay on disk and rows are faulted on demand
-	// through a page cache bounded by TableMemBudget, so the engine can
-	// serve corpora whose tables exceed memory. Requires ArtifactPath
-	// to name a file written by SaveArtifactsPaged; unlike the plain
-	// restore path, a disk-mode open fails rather than falling back —
-	// an operator who bounded table memory must not get an unbounded
-	// engine by accident.
+	// DiskMode serves the offline tables directly from the snapshot at
+	// ArtifactPath instead of decoding them into RAM: the table
+	// payloads stay on disk and rows are faulted on demand through a
+	// page cache bounded by TableMemBudget, so the engine can serve
+	// corpora whose tables exceed memory. Requires ArtifactPath to name
+	// a file written by SaveArtifactsPaged; unlike the plain restore
+	// path, a disk-mode open fails rather than falling back — an
+	// operator who bounded table memory must not get an unbounded
+	// engine by accident. A disk-mode engine cannot save snapshots
+	// (ErrDiskModeSave).
 	DiskMode bool
 	// TableMemBudget bounds resident table bytes in disk mode: the
 	// always-resident page index plus the decoded-page cache (default
@@ -157,8 +159,9 @@ type Options struct {
 type Engine struct {
 	mgr  *live.Manager
 	opts Options
+	cfg  live.Config // every generation's build config, fixed at Open
 
-	artifactMu sync.Mutex // guards artifact (LoadArtifacts may race readers)
+	artifactMu sync.Mutex // guards artifact (ReloadArtifacts may race readers)
 	artifact   ArtifactInfo
 }
 
@@ -170,9 +173,9 @@ func (e *Engine) cur() *live.Generation { return e.mgr.Current() }
 
 // liveConfig translates public Options into the generation builder's
 // config so initial and promoted generations are wired identically.
-func (e *Engine) liveConfig() (live.Config, error) {
+func liveConfig(opts Options) (live.Config, error) {
 	var mode live.Mode
-	switch e.opts.Similarity {
+	switch opts.Similarity {
 	case ContextualWalk:
 		mode = live.ModeContextual
 	case IndividualWalk:
@@ -180,48 +183,67 @@ func (e *Engine) liveConfig() (live.Config, error) {
 	case Cooccurrence:
 		mode = live.ModeCooccur
 	default:
-		return live.Config{}, fmt.Errorf("kqr: unknown similarity mode %d", int(e.opts.Similarity))
+		return live.Config{}, fmt.Errorf("kqr: unknown similarity mode %d", int(opts.Similarity))
 	}
 	alg := core.AlgAStar
-	if e.opts.Algorithm == TopKViterbi {
+	if opts.Algorithm == TopKViterbi {
 		alg = core.AlgTopKViterbi
 	}
 	return live.Config{
 		Mode:              mode,
-		Damping:           e.opts.Damping,
-		Workers:           e.opts.PrecomputeWorkers,
-		ClosenessMaxLen:   e.opts.ClosenessMaxLen,
-		ClosenessBeam:     e.opts.ClosenessBeam,
-		CandidatesPerTerm: e.opts.CandidatesPerTerm,
-		SmoothingLambda:   e.opts.SmoothingLambda,
-		DropOriginal:      e.opts.DropOriginal,
-		AllowDeletion:     e.opts.AllowDeletion,
+		Damping:           opts.Damping,
+		Workers:           opts.PrecomputeWorkers,
+		ClosenessMaxLen:   opts.ClosenessMaxLen,
+		ClosenessBeam:     opts.ClosenessBeam,
+		CandidatesPerTerm: opts.CandidatesPerTerm,
+		SmoothingLambda:   opts.SmoothingLambda,
+		DropOriginal:      opts.DropOriginal,
+		AllowDeletion:     opts.AllowDeletion,
 		Algorithm:         alg,
-		SearchMaxResults:  e.opts.SearchMaxResults,
-		SearchMaxRadius:   e.opts.SearchMaxRadius,
-		Phrases:           e.opts.Phrases,
-		FoldPlurals:       e.opts.FoldPlurals,
-		Mend:              e.opts.Mend,
+		SearchMaxResults:  opts.SearchMaxResults,
+		SearchMaxRadius:   opts.SearchMaxRadius,
+		Phrases:           opts.Phrases,
+		FoldPlurals:       opts.FoldPlurals,
+		Mend:              opts.Mend,
 	}, nil
 }
 
 // Open builds the TAT graph over the dataset and wires the offline and
 // online stages into the initial index generation (epoch 1). Building
 // cost is linear in the data size; similarity and closeness are
-// computed lazily per term and cached.
+// computed lazily per term and cached, unless Options.ArtifactPath
+// names a snapshot to restore them from. The snapshot fills the initial
+// generation before it is published.
 func Open(d *Dataset, opts Options) (*Engine, error) {
 	if d == nil {
 		return nil, fmt.Errorf("kqr: nil dataset")
 	}
 	d.frozen = true
-	e := &Engine{opts: opts}
-	cfg, err := e.liveConfig()
+	if opts.DiskMode && opts.ArtifactPath == "" {
+		return nil, fmt.Errorf("kqr: disk mode requires Options.ArtifactPath (a snapshot from SaveArtifactsPaged)")
+	}
+	cfg, err := liveConfig(opts)
 	if err != nil {
 		return nil, err
 	}
+	e := &Engine{opts: opts, cfg: cfg}
 	g, err := live.Build(d.db, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if opts.ArtifactPath != "" {
+		info, err := e.loadInto(g, opts.ArtifactPath)
+		switch {
+		case err == nil:
+			e.artifact = info
+		case opts.DiskMode:
+			// An operator who bounded table memory must not get an
+			// unbounded engine by accident.
+			return nil, err
+		default:
+			log.Printf("kqr: snapshot %s not used (%v); falling back to live compute", opts.ArtifactPath, err)
+			e.artifact = ArtifactInfo{FallbackReason: err.Error()}
+		}
 	}
 	mopts := live.Options{ChurnThreshold: opts.ChurnThreshold}
 	if opts.Live {
@@ -244,19 +266,10 @@ func Open(d *Dataset, opts Options) (*Engine, error) {
 	mopts.OnError = opts.OnPromoteError
 	e.mgr, err = live.NewManager(g, cfg, mopts)
 	if err != nil {
+		if g.Pager != nil {
+			g.Pager.Close()
+		}
 		return nil, err
-	}
-	switch {
-	case opts.DiskMode:
-		if opts.ArtifactPath == "" {
-			return nil, fmt.Errorf("kqr: disk mode requires Options.ArtifactPath (a paged snapshot from SaveArtifactsPaged)")
-		}
-		if err := e.attachDiskTables(g, opts.ArtifactPath); err != nil {
-			return nil, err
-		}
-		e.setArtifact(ArtifactInfo{Loaded: true, Path: opts.ArtifactPath, FormatVersion: artifact.FormatVersionPaged, Disk: true})
-	case opts.ArtifactPath != "":
-		e.loadArtifactsOrFallback(opts.ArtifactPath)
 	}
 	return e, nil
 }
@@ -450,7 +463,7 @@ func (e *Engine) Search(terms []string) ([]SearchResult, int, error) {
 }
 
 // GraphStats summarizes the built TAT graph and the provenance of the
-// offline tables — "offline: snapshot v1 (path)" when they were
+// offline tables — "offline: snapshot v2 (path)" when they were
 // restored from an artifact file, "offline: computed" when they are
 // built live — so operators can tell which mode a replica is in.
 func (e *Engine) GraphStats() string {
@@ -661,11 +674,5 @@ func (e *Engine) Live() bool { return e.opts.Live }
 // consume them — external callers use the kqr-server -follow mode
 // instead.
 func (e *Engine) Replication() (*live.Manager, live.Config) {
-	cfg, err := e.liveConfig()
-	if err != nil {
-		// Open validated the options; an engine in hand cannot have an
-		// invalid mode.
-		panic(err)
-	}
-	return e.mgr, cfg
+	return e.mgr, e.cfg
 }

@@ -6,20 +6,22 @@ import (
 	"kqr/internal/graph"
 )
 
-// FormatVersion is the snapshot format this package writes. Read
-// rejects any other version with ErrVersion.
-const FormatVersion uint16 = 1
+// FormatVersion is the snapshot format this package reads and writes:
+// KQRART v2, the paged layout (see paged.go). Load and ReadPagedIndex
+// reject any other version with ErrVersion; a v1 file (the retired
+// f64 layout) gets a message saying how to convert it.
+const FormatVersion uint16 = 2
 
 // magic opens every snapshot file.
 var magic = [6]byte{'K', 'Q', 'R', 'A', 'R', 'T'}
 
 // Section ids. New kinds must take fresh ids; readers skip ids they do
-// not know.
+// not know. Ids 2-4 carried v1's f64 tables and stay retired.
 const (
-	secVocabulary uint8 = 1
-	secWalk       uint8 = 2
-	secCooccur    uint8 = 3
-	secCloseness  uint8 = 4
+	secVocabulary     uint8 = 1
+	secWalkPaged      uint8 = 5
+	secCooccurPaged   uint8 = 6
+	secClosenessPaged uint8 = 7
 )
 
 // Sentinel errors classifying why a snapshot failed to load. They are
@@ -29,6 +31,7 @@ var (
 	// it is not a kqr artifact at all.
 	ErrMagic = errors.New("artifact: bad magic (not a kqr snapshot)")
 	// ErrVersion means the file's format version is not FormatVersion.
+	// For a v1 file the message says how to convert it.
 	ErrVersion = errors.New("artifact: unsupported format version")
 	// ErrChecksum means a section (or the header) failed its CRC.
 	ErrChecksum = errors.New("artifact: checksum mismatch")
@@ -60,9 +63,6 @@ type Snapshot struct {
 	// Fingerprint identifies the corpus, graph shape and offline
 	// options the tables were computed over.
 	Fingerprint string
-	// Version is the format version read from the file; Write always
-	// emits FormatVersion.
-	Version uint16
 	// Classes are the class labels the vocabulary indexes into.
 	Classes []string
 	// Vocabulary lists every term node, in ascending node order.

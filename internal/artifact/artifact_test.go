@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kqr/internal/graph"
@@ -34,12 +35,26 @@ func sample() *Snapshot {
 	}
 }
 
-func encode(t *testing.T, s *Snapshot) []byte {
+// encode writes s at the default page size.
+func encode(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
+	if err := s.WritePaged(&buf, PagedOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// v1Header hand-builds the header of a retired KQRART v1 file: magic,
+// version 1, fingerprint, header CRC. Its tables never matter — the
+// version check rejects the file before any section is read.
+func v1Header(fingerprint string) []byte {
+	var buf bytes.Buffer
+	ww := &writer{w: &buf}
+	ww.write(magic[:])
+	ww.u16(1)
+	ww.str(fingerprint)
+	ww.checksum()
 	return buf.Bytes()
 }
 
@@ -49,10 +64,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != FormatVersion {
-		t.Fatalf("version = %d, want %d", got.Version, FormatVersion)
-	}
-	got.Version = 0 // Write does not set it; compare the payload only
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -156,12 +167,9 @@ func TestFingerprintMismatch(t *testing.T) {
 // TestUnknownSectionSkipped: a reader must checksum and skip section
 // ids it does not know, so future writers can add kinds.
 func TestUnknownSectionSkipped(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(encode(t, sample()))
 	// Append a section with an unknown id and a valid frame.
-	ww := &writer{w: &buf}
+	ww := &writer{w: buf}
 	ww.u8(250)
 	payload := []byte("opaque future payload")
 	ww.u64(uint64(len(payload)))
@@ -179,15 +187,30 @@ func TestUnknownSectionSkipped(t *testing.T) {
 	}
 }
 
+// TestV1Rejected: a v1 file fails with ErrVersion in both readers, and
+// the message says what the file is and how to convert it.
+func TestV1Rejected(t *testing.T) {
+	v1 := v1Header(sample().Fingerprint)
+	_, loadErr := Load(bytes.NewReader(v1), sample().Fingerprint)
+	_, indexErr := ReadPagedIndex(bytes.NewReader(v1), sample().Fingerprint)
+	for name, err := range map[string]error{"Load": loadErr, "ReadPagedIndex": indexErr} {
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("%s: err = %v, want ErrVersion", name, err)
+		}
+		for _, want := range []string{"v1", "-snapshot-save", "SaveArtifactsPaged"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %s", name, err, want)
+			}
+		}
+	}
+}
+
 // FuzzLoad feeds arbitrary bytes to the reader: it must never panic and
 // must classify every failure as a sentinel error.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte{})
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(encode(f, sample()))
+	f.Add(v1Header("fuzz corpus"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, err := Load(bytes.NewReader(data), "fuzz corpus")
 		if err == nil {

@@ -10,26 +10,9 @@ import (
 	"kqr/internal/graph"
 )
 
-// FormatVersionPaged is the paged snapshot format (KQRART v2). A v2
-// file carries the same header and section framing as v1, the same
-// vocabulary section, and paged table sections (secWalkPaged …) whose
-// payload splits into a small resident prelude — CSR offsets, presence
-// bitmap, page index, per-page CRCs — and a page-aligned entry blob
-// that a disk-mode reader faults on demand instead of decoding at load.
-// Load reads both versions; WritePaged emits v2.
-const FormatVersionPaged uint16 = 2
-
-// Paged section ids (v2). Each is the paged twin of a v1 section.
-const (
-	secWalkPaged      uint8 = 5
-	secCooccurPaged   uint8 = 6
-	secClosenessPaged uint8 = 7
-)
-
 // pagedEntrySize is the encoded size of one paged (node, score) pair:
-// u32 node + f32 score. Halving the v1 entry is what makes rows
-// pageable; every published score is float32-quantized
-// (packed.Quantize), so narrowing loses nothing.
+// u32 node + f32 score. Every published score is float32-quantized
+// (packed.Quantize), so the f32 field loses nothing.
 const pagedEntrySize = 4 + 4
 
 // DefaultPageBytes is the target page capacity when PagedOptions leaves
@@ -315,15 +298,15 @@ func (s *Snapshot) pagedNumNodes() int {
 	return int(max) + 1
 }
 
-// WritePaged streams the snapshot to w as a KQRART v2 paged file:
-// the v1 header and vocabulary section, then one paged section per
-// non-nil table. Load reads the result back into the same Snapshot;
-// diskmode opens it without decoding the blobs.
+// WritePaged streams the snapshot to w as a KQRART v2 file: the
+// header and vocabulary section, then one paged section per non-nil
+// table. Load reads the result back into the same Snapshot; diskmode
+// opens it without decoding the blobs. It is the only snapshot writer.
 func (s *Snapshot) WritePaged(w io.Writer, opts PagedOptions) error {
 	opts = opts.withDefaults()
 	ww := &writer{w: w}
 	ww.write(magic[:])
-	ww.u16(FormatVersionPaged)
+	ww.u16(FormatVersion)
 	ww.str(s.Fingerprint)
 	ww.checksum()
 

@@ -223,8 +223,8 @@ func (r *reader) pagedScan(p *pagedPrelude, emit func(src graph.NodeID, b []byte
 	}
 }
 
-// pagedLists decodes a paged similar-term section into the v1 map
-// shape; float32 scores widen back to the float64 the extractors
+// pagedLists decodes a paged similar-term section into the Snapshot
+// map shape; float32 scores widen back to the float64 the extractors
 // published (bit-identical, because every published score is
 // float32-quantized).
 func (r *reader) pagedLists() map[graph.NodeID][]graph.Scored {
@@ -250,8 +250,8 @@ func (r *reader) pagedLists() map[graph.NodeID][]graph.Scored {
 	return m
 }
 
-// pagedCloseness decodes a paged closeness section into the v1 map
-// shape.
+// pagedCloseness decodes a paged closeness section into the Snapshot
+// map shape.
 func (r *reader) pagedCloseness() map[graph.NodeID]map[graph.NodeID]float64 {
 	p, ok := r.readPagedPrelude()
 	if !ok {
@@ -366,8 +366,7 @@ func (x *PagedIndex) Table(kind TableKind) *PagedTable {
 // section CRC), and each paged section's prelude (verifying the
 // embedded prelude CRC and the prelude's internal consistency). Blob
 // bytes are never read — their integrity is the per-page CRCs' job at
-// fault time. A v1 file fails with ErrVersion: it has no page index to
-// read.
+// fault time. Any other version, v1 included, fails with ErrVersion.
 func ReadPagedIndex(r io.ReaderAt, fingerprint string) (*PagedIndex, error) {
 	rr := &raReader{r: r}
 
@@ -383,9 +382,8 @@ func ReadPagedIndex(r io.ReaderAt, fingerprint string) (*PagedIndex, error) {
 	if rr.err != nil {
 		return nil, rr.err
 	}
-	if version != FormatVersionPaged {
-		return nil, fmt.Errorf("%w: file has v%d, paged reads need v%d (re-save with WritePaged)",
-			ErrVersion, version, FormatVersionPaged)
+	if err := checkVersion(version); err != nil {
+		return nil, err
 	}
 	fp := rr.str(maxString)
 	headerCRC := rr.crc

@@ -42,28 +42,26 @@ func TestPagedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pageBytes=%d: %v", pageBytes, err)
 		}
-		if got.Version != FormatVersionPaged {
-			t.Fatalf("version = %d, want %d", got.Version, FormatVersionPaged)
-		}
-		got.Version = 0
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pageBytes=%d round trip mismatch:\ngot  %+v\nwant %+v", pageBytes, got, want)
 		}
 	}
 }
 
+// TestPagedDeterministicBytes mirrors TestDeterministicBytes at the
+// page-size floor, where the page index has many entries.
 func TestPagedDeterministicBytes(t *testing.T) {
-	a := encodePaged(t, pagedSample(), 0)
+	a := encodePaged(t, pagedSample(), minPageBytes)
 	for i := 0; i < 5; i++ {
-		if b := encodePaged(t, pagedSample(), 0); !bytes.Equal(a, b) {
+		if b := encodePaged(t, pagedSample(), minPageBytes); !bytes.Equal(a, b) {
 			t.Fatalf("paged encoding is not deterministic (run %d differs)", i)
 		}
 	}
 }
 
-// TestPagedFlippedByte mirrors TestFlippedByte over the v2 layout:
-// every single-byte flip must surface as a typed error from the
-// sequential loader.
+// TestPagedFlippedByte mirrors TestFlippedByte at the page-size floor
+// (many small pages): every single-byte flip must surface as a typed
+// error from the sequential loader.
 func TestPagedFlippedByte(t *testing.T) {
 	enc := encodePaged(t, pagedSample(), minPageBytes)
 	for i := range enc {
@@ -80,7 +78,7 @@ func TestPagedFlippedByte(t *testing.T) {
 	}
 }
 
-// TestPagedTruncated mirrors TestTruncated over the v2 layout.
+// TestPagedTruncated mirrors TestTruncated at the page-size floor.
 func TestPagedTruncated(t *testing.T) {
 	enc := encodePaged(t, pagedSample(), minPageBytes)
 	for cut := 0; cut < len(enc); cut++ {
@@ -104,7 +102,7 @@ func TestVersionErrorMessage(t *testing.T) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"v3", "v1", "v2"} {
+	for _, want := range []string{"v3", "v2"} {
 		if !bytes.Contains([]byte(msg), []byte(want)) {
 			t.Fatalf("error %q does not mention %s", msg, want)
 		}
@@ -180,8 +178,7 @@ func TestReadPagedIndexRejects(t *testing.T) {
 	if _, err := ReadPagedIndex(bytes.NewReader(enc), "other corpus"); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("fingerprint: err = %v", err)
 	}
-	v1 := encode(t, sample())
-	if _, err := ReadPagedIndex(bytes.NewReader(v1), ""); !errors.Is(err, ErrVersion) {
+	if _, err := ReadPagedIndex(bytes.NewReader(v1Header("")), ""); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v1 file: err = %v, want ErrVersion", err)
 	}
 	// Flipping any byte of the resident region (everything before the

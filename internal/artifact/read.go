@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"kqr/internal/graph"
 )
@@ -14,6 +13,21 @@ import (
 // maxString bounds any single encoded string (fingerprint, class label,
 // term text); anything longer marks a corrupt length field.
 const maxString = 1 << 20
+
+// checkVersion rejects every format version but FormatVersion. A v1
+// file is the one a user is likely to hold, so its message names the
+// conversion: re-save the tables from a warmed engine.
+func checkVersion(version uint16) error {
+	if version == 1 {
+		return fmt.Errorf("%w: file is KQRART v1 (f64 tables), which this build no longer reads; "+
+			"convert it by re-saving with kqr-server -snapshot-save or Engine.SaveArtifactsPaged (writes v%d)",
+			ErrVersion, FormatVersion)
+	}
+	if version != FormatVersion {
+		return fmt.Errorf("%w: file has v%d, this build reads v%d", ErrVersion, version, FormatVersion)
+	}
+	return nil
+}
 
 // Read decodes a snapshot without checking its fingerprint. Most
 // callers should use Load, which rejects mismatched corpora before
@@ -44,11 +58,10 @@ func Load(r io.Reader, fingerprint string) (*Snapshot, error) {
 		return nil, rr.err
 	}
 	// Version gates the rest of the layout, so it is checked before the
-	// header checksum: a future-version file is "unsupported", not
+	// header checksum: an old or future file is "unsupported", not
 	// "corrupt".
-	if version != FormatVersion && version != FormatVersionPaged {
-		return nil, fmt.Errorf("%w: file has v%d, this build reads v%d-v%d",
-			ErrVersion, version, FormatVersion, FormatVersionPaged)
+	if err := checkVersion(version); err != nil {
+		return nil, err
 	}
 	fp := rr.str(maxString)
 	headerCRC := rr.crc
@@ -63,7 +76,7 @@ func Load(r io.Reader, fingerprint string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: snapshot %q, corpus %q", ErrFingerprint, fp, fingerprint)
 	}
 
-	snap := &Snapshot{Fingerprint: fp, Version: version}
+	snap := &Snapshot{Fingerprint: fp}
 	for {
 		var idb [1]byte
 		if _, err := io.ReadFull(rr.r, idb[:]); err != nil {
@@ -79,12 +92,6 @@ func Load(r io.Reader, fingerprint string) (*Snapshot, error) {
 		switch idb[0] {
 		case secVocabulary:
 			rr.vocabulary(snap)
-		case secWalk:
-			snap.Walk = rr.lists()
-		case secCooccur:
-			snap.Cooccur = rr.lists()
-		case secCloseness:
-			snap.Closeness = rr.closeness()
 		case secWalkPaged:
 			snap.Walk = rr.pagedLists()
 		case secCooccurPaged:
@@ -199,10 +206,9 @@ func (r *reader) block(n uint64) []byte {
 	return b
 }
 
-func (r *reader) u16() uint16  { r.read(r.buf[:2]); return binary.LittleEndian.Uint16(r.buf[:2]) }
-func (r *reader) u32() uint32  { r.read(r.buf[:4]); return binary.LittleEndian.Uint32(r.buf[:4]) }
-func (r *reader) u64() uint64  { r.read(r.buf[:8]); return binary.LittleEndian.Uint64(r.buf[:8]) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) u16() uint16 { r.read(r.buf[:2]); return binary.LittleEndian.Uint16(r.buf[:2]) }
+func (r *reader) u32() uint32 { r.read(r.buf[:4]); return binary.LittleEndian.Uint32(r.buf[:4]) }
+func (r *reader) u64() uint64 { r.read(r.buf[:8]); return binary.LittleEndian.Uint64(r.buf[:8]) }
 
 func (r *reader) str(max uint64) string {
 	n := r.u32()
@@ -271,59 +277,4 @@ func (r *reader) vocabulary(snap *Snapshot) {
 		}
 		snap.Vocabulary = append(snap.Vocabulary, Term{Node: graph.NodeID(node), Class: int32(class), Text: text})
 	}
-}
-
-// lists decodes a similar-term section (walk and cooccur share the
-// encoding).
-func (r *reader) lists() map[graph.NodeID][]graph.Scored {
-	srcCount := r.u64()
-	const minRecord = 4 + 4 // source + empty list
-	if !r.needCount(srcCount, minRecord) {
-		return nil
-	}
-	m := make(map[graph.NodeID][]graph.Scored, srcCount)
-	for i := uint64(0); i < srcCount && r.err == nil; i++ {
-		src := r.u32()
-		n := r.u32()
-		b := r.block(uint64(n) * scoredEntrySize)
-		if r.err != nil {
-			return nil
-		}
-		list := make([]graph.Scored, n)
-		for j := range list {
-			off := j * scoredEntrySize
-			list[j] = graph.Scored{
-				Node:  graph.NodeID(binary.LittleEndian.Uint32(b[off:])),
-				Score: math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:])),
-			}
-		}
-		m[graph.NodeID(src)] = list
-	}
-	return m
-}
-
-// closeness decodes the closeness section.
-func (r *reader) closeness() map[graph.NodeID]map[graph.NodeID]float64 {
-	srcCount := r.u64()
-	const minRecord = 4 + 4
-	if !r.needCount(srcCount, minRecord) {
-		return nil
-	}
-	m := make(map[graph.NodeID]map[graph.NodeID]float64, srcCount)
-	for i := uint64(0); i < srcCount && r.err == nil; i++ {
-		src := r.u32()
-		n := r.u32()
-		b := r.block(uint64(n) * scoredEntrySize)
-		if r.err != nil {
-			return nil
-		}
-		vec := make(map[graph.NodeID]float64, n)
-		for j := uint32(0); j < n; j++ {
-			off := j * scoredEntrySize
-			vec[graph.NodeID(binary.LittleEndian.Uint32(b[off:]))] =
-				math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
-		}
-		m[graph.NodeID(src)] = vec
-	}
-	return m
 }

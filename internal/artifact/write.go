@@ -2,10 +2,8 @@ package artifact
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 
 	"kqr/internal/graph"
@@ -28,12 +26,11 @@ func (w *writer) write(p []byte) {
 	_, w.err = w.w.Write(p)
 }
 
-func (w *writer) u8(v uint8)    { w.buf[0] = v; w.write(w.buf[:1]) }
-func (w *writer) u16(v uint16)  { binary.LittleEndian.PutUint16(w.buf[:2], v); w.write(w.buf[:2]) }
-func (w *writer) u32(v uint32)  { binary.LittleEndian.PutUint32(w.buf[:4], v); w.write(w.buf[:4]) }
-func (w *writer) u64(v uint64)  { binary.LittleEndian.PutUint64(w.buf[:8], v); w.write(w.buf[:8]) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) str(s string)  { w.u32(uint32(len(s))); w.write([]byte(s)) }
+func (w *writer) u8(v uint8)   { w.buf[0] = v; w.write(w.buf[:1]) }
+func (w *writer) u16(v uint16) { binary.LittleEndian.PutUint16(w.buf[:2], v); w.write(w.buf[:2]) }
+func (w *writer) u32(v uint32) { binary.LittleEndian.PutUint32(w.buf[:4], v); w.write(w.buf[:4]) }
+func (w *writer) u64(v uint64) { binary.LittleEndian.PutUint64(w.buf[:8], v); w.write(w.buf[:8]) }
+func (w *writer) str(s string) { w.u32(uint32(len(s))); w.write([]byte(s)) }
 
 // checksum emits the running CRC (the CRC itself is excluded from the
 // running value) and resets it for the next region.
@@ -44,33 +41,6 @@ func (w *writer) checksum() {
 		_, w.err = w.w.Write(w.buf[:4])
 	}
 	w.crc = 0
-}
-
-// Write streams the snapshot to w in the format documented in the
-// package comment: header, then one checksummed section per non-empty
-// table. Sections are emitted record by record — nothing larger than a
-// single record is buffered.
-func (s *Snapshot) Write(w io.Writer) error {
-	ww := &writer{w: w}
-	ww.write(magic[:])
-	ww.u16(FormatVersion)
-	ww.str(s.Fingerprint)
-	ww.checksum()
-
-	s.writeSection(ww, secVocabulary, s.vocabularySize(), s.writeVocabulary)
-	if s.Walk != nil {
-		s.writeSection(ww, secWalk, listsSize(s.Walk), func(ww *writer) { writeLists(ww, s.Walk) })
-	}
-	if s.Cooccur != nil {
-		s.writeSection(ww, secCooccur, listsSize(s.Cooccur), func(ww *writer) { writeLists(ww, s.Cooccur) })
-	}
-	if s.Closeness != nil {
-		s.writeSection(ww, secCloseness, s.closenessSize(), s.writeCloseness)
-	}
-	if ww.err != nil {
-		return fmt.Errorf("artifact: writing snapshot: %w", ww.err)
-	}
-	return nil
 }
 
 // writeSection frames one section: id, payload length (computed by the
@@ -107,59 +77,6 @@ func (s *Snapshot) writeVocabulary(ww *writer) {
 		ww.u32(uint32(t.Node))
 		ww.u32(uint32(t.Class))
 		ww.str(t.Text)
-	}
-}
-
-// scoredEntrySize is the encoded size of one (node, score) pair.
-const scoredEntrySize = 4 + 8
-
-// listsSize returns the exact encoded byte length of a similar-term
-// section payload (walk or cooccur share the encoding).
-func listsSize(m map[graph.NodeID][]graph.Scored) uint64 {
-	n := uint64(8) // source count
-	for _, list := range m {
-		n += 4 + 4 + uint64(len(list))*scoredEntrySize
-	}
-	return n
-}
-
-// writeLists encodes a similar-term table with sources in ascending
-// node order, so identical tables serialize to identical bytes.
-func writeLists(ww *writer, m map[graph.NodeID][]graph.Scored) {
-	ww.u64(uint64(len(m)))
-	for _, src := range sortedKeys(m) {
-		list := m[src]
-		ww.u32(uint32(src))
-		ww.u32(uint32(len(list)))
-		for _, sn := range list {
-			ww.u32(uint32(sn.Node))
-			ww.f64(sn.Score)
-		}
-	}
-}
-
-// closenessSize returns the exact encoded byte length of the closeness
-// section payload.
-func (s *Snapshot) closenessSize() uint64 {
-	n := uint64(8)
-	for _, vec := range s.Closeness {
-		n += 4 + 4 + uint64(len(vec))*scoredEntrySize
-	}
-	return n
-}
-
-// writeCloseness encodes the closeness table with sources and targets
-// both in ascending node order (determinism, as above).
-func (s *Snapshot) writeCloseness(ww *writer) {
-	ww.u64(uint64(len(s.Closeness)))
-	for _, src := range sortedKeys(s.Closeness) {
-		vec := s.Closeness[src]
-		ww.u32(uint32(src))
-		ww.u32(uint32(len(vec)))
-		for _, dst := range sortedKeys(vec) {
-			ww.u32(uint32(dst))
-			ww.f64(vec[dst])
-		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package diskmode
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -169,6 +172,15 @@ func TestTooSmallBudget(t *testing.T) {
 	}
 }
 
+// v1Header hand-builds the header of a KQRART v1 file: magic, version
+// 1, fingerprint, header CRC.
+func v1Header(fingerprint string) []byte {
+	b := append([]byte("KQRART"), 1, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(fingerprint)))
+	b = append(b, fingerprint...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
 // TestFingerprintAndVersion: Open must surface artifact's typed
 // rejections.
 func TestFingerprintAndVersion(t *testing.T) {
@@ -177,18 +189,15 @@ func TestFingerprintAndVersion(t *testing.T) {
 	if _, err := Open(path, "other corpus", Options{}); !errors.Is(err, artifact.ErrFingerprint) {
 		t.Fatalf("err = %v, want ErrFingerprint", err)
 	}
-	// A v1 file has no page index.
+	// A v1 file (the retired unpaged layout) is rejected by version
+	// before anything past its header is read.
 	v1 := filepath.Join(t.TempDir(), "v1.kqrart")
-	f, err := os.Create(v1)
-	if err != nil {
+	if err := os.WriteFile(v1, v1Header(snap.Fingerprint), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := Open(v1, "", Options{}); !errors.Is(err, artifact.ErrVersion) {
-		t.Fatalf("v1 file: err = %v, want ErrVersion", err)
+	if _, err := Open(v1, "", Options{}); !errors.Is(err, artifact.ErrVersion) ||
+		!strings.Contains(err.Error(), "SaveArtifactsPaged") {
+		t.Fatalf("v1 file: err = %v, want ErrVersion naming the conversion", err)
 	}
 }
 

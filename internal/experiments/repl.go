@@ -417,7 +417,7 @@ func termTableIdentity(g *live.Generation, cfg live.Config) (sha, fp string, err
 	for _, t := range snap.Vocabulary {
 		fmt.Fprintf(h, "%d\x1f%d\x1f%s\x00", t.Node, t.Class, t.Text)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), repl.Fingerprint(g, cfg), nil
+	return fmt.Sprintf("%x", h.Sum(nil)), live.Fingerprint(g, cfg), nil
 }
 
 // RenderRepl formats the replication run for the terminal.

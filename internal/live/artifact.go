@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"strings"
 
 	"kqr/internal/artifact"
 	"kqr/internal/cooccur"
@@ -9,11 +10,36 @@ import (
 	"kqr/internal/randomwalk"
 )
 
+// Fingerprint identifies everything a generation's offline tables
+// depend on: the options that change what the extractors compute, the
+// built graph's shape and classes, and the corpus row counts. A
+// snapshot saved from one generation is valid for another exactly when
+// their fingerprints match, and a replication follower must reproduce
+// its leader's fingerprint bit for bit. Snapshot save and load, disk
+// attach and the replication handshake all use this one string.
+func Fingerprint(g *Generation, cfg Config) string {
+	damping := cfg.Damping
+	if damping == 0 {
+		damping = 0.8
+	}
+	closMax := cfg.ClosenessMaxLen
+	if closMax == 0 {
+		closMax = 4
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "kqr mode=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t",
+		cfg.Mode, damping, closMax, cfg.ClosenessBeam, cfg.Phrases, cfg.FoldPlurals)
+	fmt.Fprintf(&b, " nodes=%d terms=%d edges=%d", g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
+	fmt.Fprintf(&b, " classes=%s", strings.Join(g.TG.Classes(), ","))
+	fmt.Fprintf(&b, " corpus=%s", g.TG.DB().Stats())
+	return b.String()
+}
+
 // ArtifactSnapshot assembles the in-memory artifact snapshot of one
 // generation's offline stage: the full vocabulary plus whichever
 // similarity table the generation's mode maintains, and the closeness
 // table, stamped with the caller's fingerprint. The root package's
-// SaveArtifacts and the replication leader's bootstrap stream both
+// SaveArtifactsPaged and the replication leader's bootstrap stream both
 // funnel through it.
 func ArtifactSnapshot(g *Generation, fingerprint string) (*artifact.Snapshot, error) {
 	snap := &artifact.Snapshot{

@@ -321,9 +321,9 @@ func (m *Manager) Swap(g *Generation) (*Generation, error) {
 // mode, bypassing the usual previous+1 assignment — the replication
 // follower's bootstrap path, where the epoch is dictated by the leader.
 // The epoch must not move backwards. g may be the current generation
-// itself (bootstrap restores tables in place and then pins the leader's
-// epoch on it). Install is not journaled: a follower replays the
-// leader's journal, it does not write one.
+// itself, which then only takes the new epoch. Install is not
+// journaled: a follower replays the leader's journal, it does not
+// write one.
 func (m *Manager) Install(g *Generation, epoch uint64, mode string) error {
 	if g == nil {
 		return fmt.Errorf("live: nil generation")

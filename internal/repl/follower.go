@@ -129,15 +129,20 @@ func (f *Follower) Bootstrap(ctx context.Context) (*Bootstrap, error) {
 	return snap, nil
 }
 
-// Attach verifies that the generation the caller built over the
-// snapshot's corpus reproduces the leader's fingerprint bit-for-bit,
-// restores the leader's offline tables into it, and aligns the
-// manager's epoch with the leader's. A fingerprint mismatch (different
-// build config, or a non-deterministic rebuild) is ErrDiverged: this
-// follower can never apply the leader's log.
+// Attach builds the bootstrap generation over the snapshot's corpus
+// with the caller's config, verifies it reproduces the leader's
+// fingerprint bit-for-bit, fills it with the leader's offline tables
+// while no reader can see it yet, and installs it in mgr at the
+// leader's epoch. mgr is the manager of the engine the caller opened
+// over snap.DB; its initial generation retires. A fingerprint mismatch
+// (different build config, or a non-deterministic rebuild) is
+// ErrDiverged: this follower can never apply the leader's log.
 func (f *Follower) Attach(mgr *live.Manager, cfg live.Config, snap *Bootstrap) error {
-	g := mgr.Current()
-	if fp := Fingerprint(g, cfg); fp != snap.Fingerprint {
+	g, err := live.Build(snap.DB, cfg)
+	if err != nil {
+		return fmt.Errorf("repl: building bootstrap generation: %w", err)
+	}
+	if fp := live.Fingerprint(g, cfg); fp != snap.Fingerprint {
 		return fmt.Errorf("%w: follower fingerprint %q, leader %q", ErrDiverged, fp, snap.Fingerprint)
 	}
 	if err := live.RestoreArtifact(g, snap.Artifact); err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"kqr/internal/artifact"
 	"kqr/internal/live"
 	"kqr/internal/relstore"
 	"kqr/internal/testcorpus"
@@ -315,7 +316,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp := Fingerprint(g2, cfg); fp != snap.Fingerprint {
+	if fp := live.Fingerprint(g2, cfg); fp != snap.Fingerprint {
 		t.Errorf("rebuilt fingerprint %q != leader %q", fp, snap.Fingerprint)
 	}
 	if err := live.RestoreArtifact(g2, snap.Artifact); err != nil {
@@ -466,10 +467,10 @@ func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower
 		t.Fatal(err)
 	}
 	var lb, fb bytes.Buffer
-	if err := lsnap.Write(&lb); err != nil {
+	if err := lsnap.WritePaged(&lb, artifact.PagedOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fsnap.Write(&fb); err != nil {
+	if err := fsnap.WritePaged(&fb, artifact.PagedOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// The lazily-filled caches may differ in coverage; compare the
@@ -482,7 +483,7 @@ func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower
 			t.Fatalf("vocabulary entry %d differs: %+v vs %+v", i, lsnap.Vocabulary[i], fsnap.Vocabulary[i])
 		}
 	}
-	if Fingerprint(lg, cfg) != Fingerprint(fg, cfg) {
+	if live.Fingerprint(lg, cfg) != live.Fingerprint(fg, cfg) {
 		t.Fatal("fingerprints diverged after replication")
 	}
 }

@@ -298,24 +298,6 @@ var snapMagic = [6]byte{'K', 'Q', 'R', 'R', 'E', 'P'}
 // snapVersion is the bootstrap stream format this package speaks.
 const snapVersion uint16 = 1
 
-// Fingerprint identifies everything a replica's derived state depends
-// on: the graph shape, the corpus row counts, and every config knob
-// that changes what the offline extractors compute. Leader and follower
-// must agree on it before a single log record is applied.
-func Fingerprint(g *live.Generation, cfg live.Config) string {
-	damping := cfg.Damping
-	if damping == 0 {
-		damping = 0.8
-	}
-	closMax := cfg.ClosenessMaxLen
-	if closMax == 0 {
-		closMax = 4
-	}
-	return fmt.Sprintf("repl mode=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t nodes=%d terms=%d edges=%d corpus=%s",
-		cfg.Mode, damping, closMax, cfg.ClosenessBeam, cfg.Phrases, cfg.FoldPlurals,
-		g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges(), g.DB.Stats())
-}
-
 // crcWriter streams bytes to w while maintaining a running CRC-32 and a
 // sticky error (the artifact writer idiom).
 type crcWriter struct {
@@ -351,9 +333,9 @@ func (c *crcWriter) checksum() {
 // checksummed header (epoch, resume index, log byte position,
 // fingerprint), checksummed corpus dump (schemas in creation order,
 // rows in foreign-key topological order), then the offline tables as a
-// standard KQRART artifact to end of stream.
+// standard KQRART v2 artifact to end of stream.
 func writeSnapshot(w io.Writer, g *live.Generation, cfg live.Config, pos position) error {
-	fp := Fingerprint(g, cfg)
+	fp := live.Fingerprint(g, cfg)
 	cw := &crcWriter{w: w}
 	cw.write(snapMagic[:])
 	cw.u32(uint32(snapVersion)) // widened: room for flags later
@@ -373,7 +355,7 @@ func writeSnapshot(w io.Writer, g *live.Generation, cfg live.Config, pos positio
 	if err != nil {
 		return err
 	}
-	return snap.Write(w)
+	return snap.WritePaged(w, artifact.PagedOptions{})
 }
 
 // writeDatabase encodes the corpus: every schema in creation order
@@ -507,8 +489,8 @@ type Bootstrap struct {
 	// LogBytes is the leader's total record bytes at NextIndex — the
 	// follower's bytes-behind baseline.
 	LogBytes int64
-	// Fingerprint is the leader's replication fingerprint; the follower
-	// must reproduce it bit-for-bit after rebuilding.
+	// Fingerprint is the leader's live.Fingerprint; the follower must
+	// reproduce it bit-for-bit after rebuilding.
 	Fingerprint string
 	// DB is the rebuilt corpus.
 	DB *relstore.Database

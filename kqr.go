@@ -29,21 +29,24 @@
 // # Snapshots
 //
 // The offline stage (graph build aside) can be persisted as a
-// versioned, checksummed snapshot file and restored on the next start
-// instead of recomputed — an order-of-magnitude cold-start saving on
-// realistic corpora:
+// checksummed KQRART v2 snapshot file and restored on the next start
+// instead of recomputed:
 //
-//	eng.Warm(ctx)                          // force full offline compute
-//	eng.SaveArtifacts("offline.snapshot")  // atomic, streaming write
+//	eng.Warm(ctx)                                // force full offline compute
+//	eng.SaveArtifactsPaged("offline.snapshot")   // atomic write
 //	...
 //	eng2, _ := kqr.Open(ds, kqr.Options{ArtifactPath: "offline.snapshot"})
-//	eng2.Artifact().Loaded                 // true if the snapshot matched
+//	eng2.Artifact().Loaded                       // true if the snapshot matched
 //
 // A snapshot is bound to its corpus and offline options by a
-// fingerprint; on any mismatch (or corruption) Open logs the reason
-// and falls back to live compute — a stale snapshot can never change
-// results. See internal/artifact for the file format and DESIGN.md §10
-// for the byte layout.
+// fingerprint; on any mismatch (or corruption, or a file in the
+// retired v1 layout) Open logs the reason and falls back to live
+// compute — a stale snapshot can never change results. Options.DiskMode
+// serves the same file page by page instead of decoding it. A load
+// always fills a generation no query can see yet: Open's first
+// generation before it is published, or the fresh one ReloadArtifacts
+// swaps in. See internal/artifact for the file format and DESIGN.md
+// §10 for the byte layout.
 //
 // # Live generations
 //
@@ -60,20 +63,17 @@
 // Search, Facets, SegmentQuery, Explain, GraphStats, Vocabulary,
 // Artifact, Generation, Epoch, PendingDeltas — are safe for unlimited
 // concurrent use, including concurrently with Ingest, Promote,
-// LoadArtifacts, ReloadArtifacts and Close. Each call resolves the
-// current generation once (a single atomic load) and reads only that
-// generation, so a promotion mid-request is invisible to it.
+// ReloadArtifacts and Close. Each call resolves the current generation
+// once (a single atomic load) and reads only that generation, so a
+// promotion mid-request is invisible to it.
 //
-// The offline-stage writers — Warm, PrecomputeTerms, SaveRelations,
-// LoadRelations, SaveArtifacts, LoadArtifacts, ReloadArtifacts, Ingest,
-// Promote, Close — are individually safe to call from any goroutine
-// (promotions serialize internally), with one caveat: LoadRelations and
-// LoadArtifacts replace the current generation's cached tables in
-// place, so queries racing them may mix pre- and post-load scores
-// (never torn data — the stores swap whole vectors under a lock).
-// ReloadArtifacts installs the snapshot as a fresh generation instead
-// and has no such caveat. Dataset is not safe for concurrent mutation
-// and freezes at Open; change a live corpus through Ingest/Promote.
+// The offline-stage writers — Warm, SaveArtifactsPaged,
+// ReloadArtifacts, Ingest, Promote, Close — are safe to call from any
+// goroutine (promotions serialize internally). ReloadArtifacts fills a
+// fresh generation and swaps it in, so queries racing it see the old
+// tables or the new ones, never a mix. Dataset is not safe for
+// concurrent mutation and freezes at Open; change a live corpus through
+// Ingest/Promote.
 package kqr
 
 import (

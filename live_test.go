@@ -130,11 +130,11 @@ func TestQueriesRaceAcrossPromotions(t *testing.T) {
 	}
 }
 
-// TestLoadArtifactsProvenanceParity asserts the two snapshot-restore
-// paths — Options.ArtifactPath at Open and a later LoadArtifacts call —
-// record identical provenance, and that LoadArtifacts clears a previous
+// TestReloadArtifactsProvenanceParity asserts the two load paths —
+// Options.ArtifactPath at Open and a later ReloadArtifacts — record
+// identical provenance, and that ReloadArtifacts clears a previous
 // fallback.
-func TestLoadArtifactsProvenanceParity(t *testing.T) {
+func TestReloadArtifactsProvenanceParity(t *testing.T) {
 	warm, err := kqr.Open(bibliographyDataset(t), kqr.Options{PrecomputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestLoadArtifactsProvenanceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/offline.snapshot"
-	if err := warm.SaveArtifacts(path); err != nil {
+	if err := warm.SaveArtifactsPaged(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +155,7 @@ func TestLoadArtifactsProvenanceParity(t *testing.T) {
 	defer atOpen.Close()
 
 	// Open with a missing snapshot first: provenance records the
-	// fallback, and the later LoadArtifacts replaces it wholesale.
+	// fallback, and the later ReloadArtifacts replaces it wholesale.
 	late, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: path + ".missing"})
 	if err != nil {
 		t.Fatal(err)
@@ -164,16 +164,24 @@ func TestLoadArtifactsProvenanceParity(t *testing.T) {
 	if info := late.Artifact(); info.Loaded || info.FallbackReason == "" {
 		t.Fatalf("missing-snapshot provenance = %+v", info)
 	}
-	if err := late.LoadArtifacts(path); err != nil {
+	if err := late.ReloadArtifacts(path); err != nil {
 		t.Fatal(err)
 	}
 
 	want, got := atOpen.Artifact(), late.Artifact()
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("provenance mismatch:\n  Open path: %+v\n  LoadArtifacts: %+v", want, got)
+		t.Errorf("provenance mismatch:\n  Open path: %+v\n  ReloadArtifacts: %+v", want, got)
 	}
 	if !got.Loaded || got.Path != path || got.FallbackReason != "" {
-		t.Errorf("LoadArtifacts provenance = %+v", got)
+		t.Errorf("ReloadArtifacts provenance = %+v", got)
+	}
+	// Both engines serve the same tables.
+	for _, term := range warm.Vocabulary() {
+		a, err1 := atOpen.SimilarTerms(term, 10)
+		b, err2 := late.SimilarTerms(term, 10)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("term %q: Open path %v (%v), reload %v (%v)", term, a, err1, b, err2)
+		}
 	}
 }
 
@@ -221,7 +229,7 @@ func TestReloadArtifactsRacesPromoteEpochMonotone(t *testing.T) {
 	go func() {
 		defer race.Done()
 		for i := 0; i < rounds; i++ {
-			if err := eng.SaveArtifacts(path); err != nil {
+			if err := eng.SaveArtifactsPaged(path); err != nil {
 				errs <- fmt.Errorf("save %d: %w", i, err)
 				return
 			}

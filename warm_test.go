@@ -1,18 +1,17 @@
 package kqr_test
 
 import (
-	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"kqr"
 )
 
 // TestEngineWarm warms the full vocabulary and checks the result is the
-// complete offline stage: the saved relations loaded into a cold engine
-// reproduce the warm engine's suggestions exactly.
+// complete offline stage: a cold engine opened over the saved snapshot
+// reproduces the warm engine's suggestions exactly.
 func TestEngineWarm(t *testing.T) {
 	for _, mode := range []kqr.SimilarityMode{kqr.ContextualWalk, kqr.Cooccurrence} {
 		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode, PrecomputeWorkers: 4})
@@ -22,16 +21,16 @@ func TestEngineWarm(t *testing.T) {
 		if err := eng.Warm(context.Background()); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		var buf bytes.Buffer
-		if err := eng.SaveRelations(&buf); err != nil {
+		path := filepath.Join(t.TempDir(), "offline.snapshot")
+		if err := eng.SaveArtifactsPaged(path); err != nil {
 			t.Fatal(err)
 		}
-		cold, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode})
+		cold, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode, ArtifactPath: path})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cold.LoadRelations(&buf); err != nil {
-			t.Fatal(err)
+		if !cold.Artifact().Loaded {
+			t.Fatalf("mode %v: snapshot not loaded: %+v", mode, cold.Artifact())
 		}
 		want, err := eng.Reformulate([]string{"uncertain", "data"}, 10)
 		if err != nil {
@@ -56,21 +55,5 @@ func TestEngineWarmCancelled(t *testing.T) {
 	cancel()
 	if err := eng.Warm(ctx); err == nil {
 		t.Fatal("cancelled Warm returned nil")
-	}
-}
-
-// TestPrecomputeTermsUnknownTerm checks the offline pass names the
-// failing term instead of returning a bare resolution error.
-func TestPrecomputeTermsUnknownTerm(t *testing.T) {
-	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = eng.PrecomputeTerms([]string{"probabilistic", "no-such-term-xyzzy"})
-	if err == nil {
-		t.Fatal("unknown term accepted")
-	}
-	if !strings.Contains(err.Error(), "no-such-term-xyzzy") {
-		t.Fatalf("error does not name the failing term: %v", err)
 	}
 }
